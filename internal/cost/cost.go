@@ -12,6 +12,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 
 	"diospyros/internal/egraph"
 	"diospyros/internal/expr"
@@ -27,7 +28,9 @@ type ChildInfo struct {
 
 // Model prices a single e-node given its children's chosen implementations.
 // The returned value is the node's own cost, excluding children (which the
-// extractor sums separately); it must be strictly positive.
+// extractor sums separately); it must be strictly positive. The children
+// slice is valid only during the call: the extractor reuses its backing
+// array for the next node, so a model must not retain it.
 type Model interface {
 	NodeCost(n egraph.ENode, children []ChildInfo) float64
 }
@@ -53,9 +56,12 @@ const (
 )
 
 // ClassifyVec determines the movement class of a Vec node from its chosen
-// child nodes, plus the number of scalar-computed lanes.
+// child nodes, plus the number of scalar-computed lanes. It does not
+// allocate: only whether a Vec reads one, two, or three-plus distinct
+// arrays matters, so the first three are tracked in a fixed set.
 func ClassifyVec(children []ChildInfo) (MovementClass, int) {
-	arrays := map[egraph.SymID]bool{}
+	var arrays [3]egraph.SymID
+	nArrays := 0
 	scalarLanes := 0
 	allLit := true
 	contiguous := true
@@ -67,7 +73,10 @@ func ClassifyVec(children []ChildInfo) (MovementClass, int) {
 			contiguous = false
 		case expr.OpGet:
 			allLit = false
-			arrays[c.Node.Sym] = true
+			if nArrays < len(arrays) && !slices.Contains(arrays[:nArrays], c.Node.Sym) {
+				arrays[nArrays] = c.Node.Sym
+				nArrays++
+			}
 			if !haveFirst {
 				firstArr, firstIdx, haveFirst = c.Node.Sym, c.Node.Idx, true
 				if i != 0 {
@@ -87,11 +96,11 @@ func ClassifyVec(children []ChildInfo) (MovementClass, int) {
 		return MoveScalarLanes, scalarLanes
 	case allLit:
 		return MoveLiteral, 0
-	case contiguous && len(arrays) == 1 && haveFirst && firstIdx%len(children) == 0:
+	case contiguous && nArrays == 1 && haveFirst && firstIdx%len(children) == 0:
 		return MoveContiguous, 0
-	case len(arrays) <= 1:
+	case nArrays <= 1:
 		return MoveSingleArray, 0
-	case len(arrays) == 2:
+	case nArrays == 2:
 		return MoveTwoArrays, 0
 	default:
 		return MoveManyArrays, 0

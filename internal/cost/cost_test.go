@@ -1,6 +1,7 @@
 package cost
 
 import (
+	"math/rand"
 	"testing"
 
 	"diospyros/internal/egraph"
@@ -132,5 +133,100 @@ func TestClassifyVecSplatOfGet(t *testing.T) {
 	mc, _ := ClassifyVec([]ChildInfo{get("a", 2), get("a", 2), get("a", 2), get("a", 2)})
 	if mc != MoveSingleArray {
 		t.Fatalf("splat-like Vec classified as %v", mc)
+	}
+}
+
+// referenceClassify is ClassifyVec as it was before the fixed-size array
+// set: the distinct arrays are counted in a map. ClassifyVec must agree
+// with it on every input.
+func referenceClassify(children []ChildInfo) (MovementClass, int) {
+	arrays := map[egraph.SymID]bool{}
+	scalarLanes := 0
+	allLit := true
+	contiguous := true
+	var firstArr egraph.SymID
+	firstIdx, haveFirst := 0, false
+	for i, c := range children {
+		switch c.Node.Op {
+		case expr.OpLit:
+			contiguous = false
+		case expr.OpGet:
+			allLit = false
+			arrays[c.Node.Sym] = true
+			if !haveFirst {
+				firstArr, firstIdx, haveFirst = c.Node.Sym, c.Node.Idx, true
+				if i != 0 {
+					contiguous = false
+				}
+			} else if c.Node.Sym != firstArr || c.Node.Idx != firstIdx+i {
+				contiguous = false
+			}
+		default:
+			allLit = false
+			contiguous = false
+			scalarLanes++
+		}
+	}
+	switch {
+	case scalarLanes > 0:
+		return MoveScalarLanes, scalarLanes
+	case allLit:
+		return MoveLiteral, 0
+	case contiguous && len(arrays) == 1 && haveFirst && firstIdx%len(children) == 0:
+		return MoveContiguous, 0
+	case len(arrays) <= 1:
+		return MoveSingleArray, 0
+	case len(arrays) == 2:
+		return MoveTwoArrays, 0
+	default:
+		return MoveManyArrays, 0
+	}
+}
+
+func TestClassifyVecMatchesMapCount(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		children := make([]ChildInfo, 1+r.Intn(9))
+		for j := range children {
+			switch r.Intn(6) {
+			case 0:
+				children[j] = lit(float64(r.Intn(2)))
+			case 1:
+				children[j] = ChildInfo{Node: egraph.ENode{Op: expr.OpMul}}
+			default:
+				// Few arrays and indices, so contiguous runs, splats and
+				// one to five distinct arrays all occur.
+				children[j] = get(string(rune('a'+r.Intn(5))), r.Intn(2*len(children)))
+			}
+		}
+		gotC, gotL := ClassifyVec(children)
+		wantC, wantL := referenceClassify(children)
+		if gotC != wantC || gotL != wantL {
+			t.Fatalf("ClassifyVec(%+v) = %v, %d; want %v, %d", children, gotC, gotL, wantC, wantL)
+		}
+	}
+}
+
+func TestClassifyVecDoesNotAllocate(t *testing.T) {
+	vecs := [][]ChildInfo{
+		{get("a", 0), get("a", 1), get("a", 2), get("a", 3)},
+		{get("a", 0), get("b", 0), get("c", 0), get("d", 0), get("e", 0), get("a", 1), get("b", 1), get("c", 1)},
+		{get("a", 0), lit(0), {Node: egraph.ENode{Op: expr.OpAdd}}, get("b", 3)},
+		// More distinct arrays than one map bucket holds.
+		{get("a", 0), get("b", 0), get("c", 0), get("d", 0), get("e", 0), get("f", 0),
+			get("g", 0), get("h", 0), get("i", 0), get("j", 0), get("k", 0), get("l", 0)},
+	}
+	for i, v := range vecs {
+		if n := testing.AllocsPerRun(100, func() { ClassifyVec(v) }); n != 0 {
+			t.Errorf("vec %d: ClassifyVec made %v allocations per call, want 0", i, n)
+		}
+	}
+}
+
+func BenchmarkClassifyVec(b *testing.B) {
+	v := []ChildInfo{get("a", 0), get("b", 0), get("a", 1), get("b", 1)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ClassifyVec(v)
 	}
 }

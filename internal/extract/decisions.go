@@ -66,17 +66,17 @@ func (ex *Extractor) Decisions(root egraph.ClassID) []Decision {
 		if cls == nil {
 			continue
 		}
-		best := ex.best[c]
-		if best == nil || !best.ok {
+		best := ex.choice(c)
+		if best == nil {
 			continue
 		}
 		d := Decision{Class: c, Winner: ex.describeNode(best.Node), WinnerCost: best.Cost}
-		if _, own, ok := ex.nodeCostParts(best.Node); ok {
+		if _, own, ok := ex.price(best.Node); ok {
 			d.WinnerOwn = own
 		}
 		runnerCost, runnerNode, haveRunner := 0.0, egraph.ENode{}, false
 		for _, n := range cls.Nodes {
-			total, _, ok := ex.nodeCostParts(n)
+			total, _, ok := ex.price(n)
 			if !ok {
 				continue
 			}
@@ -112,15 +112,14 @@ func (ex *Extractor) Decisions(root egraph.ClassID) []Decision {
 func (ex *Extractor) Movement(root egraph.ClassID) MovementCounts {
 	var mc MovementCounts
 	for _, c := range ex.reachable(root) {
-		b := ex.best[c]
-		if b == nil || !b.ok || b.Node.Op != expr.OpVec {
+		b := ex.choice(c)
+		if b == nil || b.Node.Op != expr.OpVec {
 			continue
 		}
-		children, ok := ex.childInfo(b.Node)
-		if !ok {
+		if _, _, ok := ex.price(b.Node); !ok {
 			continue
 		}
-		class, scalarLanes := cost.ClassifyVec(children)
+		class, scalarLanes := cost.ClassifyVec(ex.buf)
 		switch class {
 		case cost.MoveLiteral:
 			mc.Literal++
@@ -147,8 +146,8 @@ func (ex *Extractor) reachable(root egraph.ClassID) []egraph.ClassID {
 	seen := map[egraph.ClassID]bool{root: true}
 	order := []egraph.ClassID{root}
 	for i := 0; i < len(order); i++ {
-		b := ex.best[order[i]]
-		if b == nil || !b.ok {
+		b := ex.choice(order[i])
+		if b == nil {
 			continue
 		}
 		for _, a := range b.Node.Args {
@@ -160,39 +159,6 @@ func (ex *Extractor) reachable(root egraph.ClassID) []egraph.ClassID {
 		}
 	}
 	return order
-}
-
-// childInfo assembles the cost.ChildInfo slice for a node from the final
-// best choices (false when any child lacks an implementation).
-func (ex *Extractor) childInfo(n egraph.ENode) ([]cost.ChildInfo, bool) {
-	children := make([]cost.ChildInfo, len(n.Args))
-	for i, a := range n.Args {
-		b := ex.best[ex.g.Find(a)]
-		if b == nil || !b.ok {
-			return nil, false
-		}
-		children[i] = cost.ChildInfo{Cost: b.Cost, Node: b.Node}
-	}
-	return children, true
-}
-
-// nodeCostParts prices a node with the final best choices, returning the
-// total (subtree) cost and the node's own share.
-func (ex *Extractor) nodeCostParts(n egraph.ENode) (total, own float64, ok bool) {
-	children, ok := ex.childInfo(n)
-	if !ok {
-		return 0, 0, false
-	}
-	sum := 0.0
-	for _, c := range children {
-		sum += c.Cost
-	}
-	own = ex.model.NodeCost(n, children)
-	total = sum + own
-	if total != total || total > 1e300 { // NaN or effectively infinite
-		return 0, 0, false
-	}
-	return total, own, true
 }
 
 // sameNode compares nodes structurally under the current union-find.

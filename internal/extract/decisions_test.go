@@ -96,3 +96,43 @@ func TestMovementCensus(t *testing.T) {
 		t.Fatalf("census = %+v, want no gathers or scalar lanes", mc)
 	}
 }
+
+// hugeCost prices + at 1e301 and * at 2e301: finite, but above the 1e300
+// cut-off decision traces once used for "effectively infinite".
+type hugeCost struct{}
+
+func (hugeCost) NodeCost(n egraph.ENode, _ []cost.ChildInfo) float64 {
+	switch n.Op {
+	case expr.OpAdd:
+		return 1e301
+	case expr.OpMul:
+		return 2e301
+	}
+	return 1
+}
+
+// TestDecisionsKeepHugeFiniteWinner checks that the decision trace prices
+// candidates exactly as extraction does: a finite winner above 1e300 keeps
+// its own cost, and both finite candidates are counted.
+func TestDecisionsKeepHugeFiniteWinner(t *testing.T) {
+	g := egraph.New()
+	root := g.AddExpr(expr.MustParse("(+ a b)"))
+	g.Union(root, g.AddExpr(expr.MustParse("(* a b)")))
+	g.Rebuild()
+	ex := New(g, hugeCost{})
+	if c := ex.Cost(root); c != 1e301+2 {
+		t.Fatalf("extracted cost = %v, want 1e301+2", c)
+	}
+	var rootD *Decision
+	for _, d := range ex.Decisions(root) {
+		if d.Class == g.Find(root) {
+			rootD = &d
+		}
+	}
+	if rootD == nil {
+		t.Fatal("no decision for the root class")
+	}
+	if rootD.WinnerOwn != 1e301 || rootD.Candidates != 2 || rootD.RunnerUp != "(* /2)" {
+		t.Fatalf("root decision = %+v, want own 1e301, 2 candidates, runner-up (* /2)", *rootD)
+	}
+}

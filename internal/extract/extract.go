@@ -1,12 +1,17 @@
 // Package extract selects the cheapest program represented by an e-graph
-// under a cost model (paper §3.4). Extraction runs a Bellman-style
-// relaxation to a fixpoint, which is linear in the number of e-nodes per
-// pass and terminates because the cost model is strictly monotonic.
+// under a cost model (paper §3.4). Extraction is a Bellman-style relaxation
+// to a fixpoint on dense, ClassID-indexed state: classes are visited in
+// increasing ID order, and after the first pass only classes with a child
+// whose best choice improved since their last visit are re-priced. The
+// sequence of updates, and so every winner, is exactly that of relaxing
+// the whole graph each pass (DESIGN.md §5.1). It terminates because the
+// cost model is strictly monotonic.
 package extract
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"diospyros/internal/cost"
 	"diospyros/internal/egraph"
@@ -24,7 +29,12 @@ type Choice struct {
 type Extractor struct {
 	g     *egraph.EGraph
 	model cost.Model
-	best  map[egraph.ClassID]*Choice
+	// best is indexed by canonical ClassID; ok marks the classes that have
+	// a finite-cost implementation.
+	best []Choice
+	// buf is the children scratch handed to the model by price. The model
+	// may read it only during the call (cost.Model).
+	buf []cost.ChildInfo
 }
 
 // New prepares an extractor and runs the fixpoint computation. Models that
@@ -34,61 +44,157 @@ func New(g *egraph.EGraph, model cost.Model) *Extractor {
 	if ns, ok := model.(cost.NeedsSyms); ok {
 		model = ns.WithSyms(g.SymName)
 	}
-	ex := &Extractor{g: g, model: model, best: map[egraph.ClassID]*Choice{}}
+	ex := &Extractor{g: g, model: model}
 	ex.run()
 	return ex
 }
 
+// run relaxes best choices until none improves. Costs only decrease, and
+// each node's own cost is strictly positive, so cyclic choices can never
+// undercut acyclic ones and the loop terminates.
+//
+// Each pass visits the classes in cur in increasing ID order and prices
+// every node of a visited class against the children's current best, so a
+// class's own update is visible to its later nodes. When a class improves,
+// its users with a higher ID join this pass (cur) and the rest, itself
+// included, join the next one. A class left out of both has no child that
+// changed since its last visit, so re-pricing it would reproduce the same
+// totals, none strictly below its best: skipping it changes nothing.
 func (ex *Extractor) run() {
-	// Relax until no class's best cost improves. Costs only decrease, and
-	// each node's own cost is strictly positive, so cyclic choices can
-	// never undercut acyclic ones and the loop terminates.
+	classes := ex.g.CanonicalClasses()
+	if len(classes) == 0 {
+		return
+	}
+	n := int(classes[len(classes)-1].ID) + 1
+	ex.best = make([]Choice, n)
+	byID := make([]*egraph.EClass, n)
+	for _, cls := range classes {
+		byID[cls.ID] = cls
+	}
+	start, users := ex.userIndex(classes, n)
+	cur, next := newBitset(n), newBitset(n)
+	for _, cls := range classes {
+		cur.set(cls.ID)
+	}
 	for {
-		changed := false
-		ex.g.Classes(func(cls *egraph.EClass) {
-			cur := ex.best[cls.ID]
-			for _, n := range cls.Nodes {
-				c, ok := ex.nodeCost(n)
-				if !ok {
+		more := false
+		for w := range cur {
+			for cur[w] != 0 {
+				b := bits.TrailingZeros64(cur[w])
+				cur[w] &^= 1 << b
+				id := egraph.ClassID(w*64 + b)
+				if !ex.relax(byID[id]) {
 					continue
 				}
-				if cur == nil || !cur.ok || c < cur.Cost {
-					cur = &Choice{Cost: c, Node: n, ok: true}
-					ex.best[cls.ID] = cur
-					changed = true
+				for _, u := range users[start[id]:start[id+1]] {
+					if u > id {
+						cur.set(u)
+					} else {
+						next.set(u)
+						more = true
+					}
 				}
 			}
-		})
-		if !changed {
+		}
+		if !more {
 			return
 		}
+		cur, next = next, cur
 	}
 }
 
-// nodeCost prices node n using the current best choices of its children.
-func (ex *Extractor) nodeCost(n egraph.ENode) (float64, bool) {
-	children := make([]cost.ChildInfo, len(n.Args))
-	sum := 0.0
-	for i, a := range n.Args {
-		b := ex.best[ex.g.Find(a)]
-		if b == nil || !b.ok {
-			return 0, false
+// relax prices every node of cls in order, keeping the first strictly
+// cheapest, and reports whether the class's best choice changed.
+func (ex *Extractor) relax(cls *egraph.EClass) bool {
+	b := &ex.best[cls.ID]
+	changed := false
+	for _, n := range cls.Nodes {
+		c, _, ok := ex.price(n)
+		if ok && (!b.ok || c < b.Cost) {
+			*b = Choice{Cost: c, Node: n, ok: true}
+			changed = true
 		}
-		children[i] = cost.ChildInfo{Cost: b.Cost, Node: b.Node}
+	}
+	return changed
+}
+
+// userIndex builds the parent index in compressed form: the users of class
+// c, each listed once, are users[start[c]:start[c+1]].
+func (ex *Extractor) userIndex(classes []*egraph.EClass, n int) (start []int32, users []egraph.ClassID) {
+	// stamp[c] == p+1 once p has been counted as a user of c.
+	stamp := make([]egraph.ClassID, n)
+	start = make([]int32, n+1)
+	each := func(f func(child, parent egraph.ClassID)) {
+		clear(stamp)
+		for _, cls := range classes {
+			for _, nd := range cls.Nodes {
+				for _, a := range nd.Args {
+					c := ex.g.Find(a)
+					if int(c) < n && stamp[c] != cls.ID+1 {
+						stamp[c] = cls.ID + 1
+						f(c, cls.ID)
+					}
+				}
+			}
+		}
+	}
+	each(func(c, _ egraph.ClassID) { start[c+1]++ })
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	users = make([]egraph.ClassID, start[n])
+	fill := append([]int32(nil), start[:n]...)
+	each(func(c, p egraph.ClassID) {
+		users[fill[c]] = p
+		fill[c]++
+	})
+	return start, users
+}
+
+// price prices node n against the current best choices, returning its
+// total (subtree) cost and its own share. ok is false when a child has no
+// implementation yet or the total is not finite. The children the model
+// saw stay in ex.buf until the next call.
+func (ex *Extractor) price(n egraph.ENode) (total, own float64, ok bool) {
+	children := ex.buf[:0]
+	sum := 0.0
+	for _, a := range n.Args {
+		b := ex.choice(a)
+		if b == nil {
+			return 0, 0, false
+		}
+		children = append(children, cost.ChildInfo{Cost: b.Cost, Node: b.Node})
 		sum += b.Cost
 	}
-	own := ex.model.NodeCost(n, children)
-	total := sum + own
+	ex.buf = children
+	own = ex.model.NodeCost(n, children)
+	total = sum + own
 	if math.IsInf(total, 0) || math.IsNaN(total) {
-		return 0, false
+		return 0, 0, false
 	}
-	return total, true
+	return total, own, true
 }
+
+// choice returns the best choice of id's class, or nil when it has none.
+func (ex *Extractor) choice(id egraph.ClassID) *Choice {
+	id = ex.g.Find(id)
+	if int(id) >= len(ex.best) || !ex.best[id].ok {
+		return nil
+	}
+	return &ex.best[id]
+}
+
+// bitset is a set of class IDs.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+func (s bitset) set(id egraph.ClassID) { s[id/64] |= 1 << (id % 64) }
 
 // Best returns the chosen implementation of a class.
 func (ex *Extractor) Best(id egraph.ClassID) (Choice, bool) {
-	b := ex.best[ex.g.Find(id)]
-	if b == nil || !b.ok {
+	b := ex.choice(id)
+	if b == nil {
 		return Choice{}, false
 	}
 	return *b, true
@@ -109,8 +215,8 @@ func (ex *Extractor) Expr(id egraph.ClassID) (*expr.Expr, error) {
 		if building[c] {
 			return nil, fmt.Errorf("extract: cyclic best choice at class %d (cost model not strictly monotonic?)", c)
 		}
-		b := ex.best[c]
-		if b == nil || !b.ok {
+		b := ex.choice(c)
+		if b == nil {
 			return nil, fmt.Errorf("extract: no finite-cost implementation for class %d", c)
 		}
 		building[c] = true
