@@ -14,8 +14,8 @@
 // the search journal armed, then simulated, and the two flight records are
 // diffed; option tokens are comma-separated:
 //
-//	no-vector | ac | backoff | width=N | target=NAME | timeout=DUR |
-//	node-limit=N | match-workers=N | cost:OP=V
+//	no-vector | ac | backoff | target=NAME | timeout=DUR | node-limit=N |
+//	match-workers=N | cost:OP=V
 //
 // Like diff(1), the exit status distinguishes outcomes: 0 when the runs
 // are equivalent, 1 when they diverge, 2 on usage or artifact errors.
@@ -234,12 +234,6 @@ func parseOpts(tokens string) (diospyros.Options, error) {
 			opts.EnableAC = true
 		case tok == "backoff":
 			opts.UseBackoff = true
-		case key == "width" && hasVal:
-			n, err := strconv.Atoi(val)
-			if err != nil {
-				return opts, fmt.Errorf("bad width %q", val)
-			}
-			opts.Width = n
 		case key == "target" && hasVal:
 			opts.Target = val
 		case key == "timeout" && hasVal:

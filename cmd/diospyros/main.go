@@ -46,6 +46,7 @@ import (
 	"diospyros/internal/buildinfo"
 	"diospyros/internal/egraph"
 	"diospyros/internal/expr"
+	"diospyros/internal/isa"
 	"diospyros/internal/rules"
 	"diospyros/internal/telemetry"
 )
@@ -65,7 +66,7 @@ func main() {
 		backoff   = flag.Bool("backoff", false, "schedule rules with the backoff policy (ban over-matching rules); useful with -ac")
 		timeout   = flag.Duration("timeout", 0, "equality saturation timeout (default 180s)")
 		nodeLimit = flag.Int("node-limit", 0, "e-graph node limit (default 10,000,000)")
-		matchWork = flag.Int("match-workers", 0, "parallel e-matching workers (default: one per CPU; 1 forces the serial matcher; results are identical at any setting)")
+		matchWork = flag.Int("match-workers", 0, "parallel e-matching workers (default: one per CPU; 1 runs the match tasks on the calling goroutine; results are identical at any setting)")
 		targets   = flag.String("targets", "", "comma-separated machine targets (e.g. fg3lite-4,fg3lite-8,scalar): one saturation search, one extraction per target; the first is primary")
 		stats     = flag.Bool("stats", false, "print compilation statistics to stderr")
 		trace     = flag.Bool("trace", false, "print the per-stage pipeline trace to stderr")
@@ -124,7 +125,7 @@ func main() {
 		}
 		g := egraph.New()
 		g.AddExpr(lifted.Spec)
-		cfg := rules.Config{Width: 4, EnableAC: *enableAC, DisableVector: *noVector}
+		cfg := rules.Config{Widths: []int{isa.Default().Width}, EnableAC: *enableAC, DisableVector: *noVector}
 		egraph.RunContext(ctx, g, cfg.Rules(), egraph.Limits{
 			MaxIterations: 30, MaxNodes: 100_000, Timeout: *timeout,
 		})

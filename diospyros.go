@@ -42,14 +42,10 @@ import (
 // 10M-node limit (the paper's §5.2 settings), vector rules enabled, full
 // associativity/commutativity disabled.
 type Options struct {
-	// Width is the legacy way to pick a vector width. 0 means the default
-	// target's width (4). Nonzero widths resolve to the matching registered
-	// target ("fg3lite-<w>", or "scalar" for width 1). Ignored when Target
-	// or Targets is set.
-	Width int
 	// Target names a single machine target from the isa registry
 	// ("fg3lite-4", "fg3lite-8", "scalar", or any width via "fg3lite-<w>").
-	// Empty means the Width-derived default. Ignored when Targets is set.
+	// Empty means the default target (isa.Default, fg3lite-4). Ignored when
+	// Targets is set.
 	Target string
 	// Targets requests multi-target compilation: one equality-saturation
 	// search whose e-graph holds decompositions for every requested vector
@@ -100,10 +96,10 @@ type Options struct {
 
 	// MatchWorkers bounds the worker pool for equality saturation's
 	// read-only match phase. 0 means one worker per CPU
-	// (egraph.DefaultMatchWorkers); 1 forces the serial matcher. The
-	// setting trades wall-clock time only: compiled output, extraction
-	// costs, and search telemetry counts are bit-for-bit identical at
-	// every worker count (DESIGN.md §9).
+	// (egraph.DefaultMatchWorkers); 1 runs the match tasks on the calling
+	// goroutine. The setting trades wall-clock time only: compiled output,
+	// extraction costs, and search telemetry counts are bit-for-bit
+	// identical at every worker count (DESIGN.md §9).
 	MatchWorkers int
 	// ExtraRules appends user-defined syntactic rewrite rules to the
 	// search, the paper's §6 extension mechanism. For example, a DSP with
@@ -130,9 +126,6 @@ type RewriteRule struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Width == 0 {
-		o.Width = isa.Width
-	}
 	if o.Timeout == 0 {
 		o.Timeout = 180 * time.Second
 	}
@@ -303,21 +296,14 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 
 // resolveTargets materializes the requested target list from the options,
 // in request order, deduplicated by name. Precedence: Targets, then Target,
-// then the legacy Width (width 1 meaning the scalar target).
+// then the default target.
 func resolveTargets(opts Options) ([]*isa.Target, error) {
 	names := opts.Targets
 	if len(names) == 0 && opts.Target != "" {
 		names = []string{opts.Target}
 	}
 	if len(names) == 0 {
-		switch {
-		case opts.Width == isa.Width:
-			return []*isa.Target{isa.Default()}, nil
-		case opts.Width == 1:
-			names = []string{"scalar"}
-		default:
-			names = []string{fmt.Sprintf("fg3lite-%d", opts.Width)}
-		}
+		return []*isa.Target{isa.Default()}, nil
 	}
 	seen := map[string]bool{}
 	out := make([]*isa.Target, 0, len(names))

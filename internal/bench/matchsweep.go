@@ -13,7 +13,8 @@ import (
 
 // MSRow is one kernel's row of the match-worker sweep: the saturate-stage
 // wall time at each worker count (best of MSOptions.Repeat runs) and the
-// speedup relative to the serial matcher. Because parallel matching is
+// speedup relative to one worker, which runs the match tasks on the
+// calling goroutine. Because parallel matching is
 // bit-for-bit deterministic (DESIGN.md §9) every column compiles the same
 // program; only the wall clock moves.
 type MSRow struct {

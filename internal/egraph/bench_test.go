@@ -1,6 +1,7 @@
 package egraph
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -59,21 +60,22 @@ func BenchmarkSaturateSerial(b *testing.B) {
 }
 
 // BenchmarkMatchPhase isolates the read-only match phase on a saturated
-// graph: one indexed search of every rule over every canonical class, the
-// inner loop the head-op dispatch index (DESIGN.md §14) prunes.
+// graph: one indexed search of every rule over every canonical class (the
+// inner loop the head-op dispatch index, DESIGN.md §14, prunes), run by
+// the runner's own one-worker match call.
 func BenchmarkMatchPhase(b *testing.B) {
 	e, rules := saturationWorkload(12)
 	g := New()
 	g.AddExpr(e)
 	Run(g, rules, Limits{MaxIterations: 4, MaxNodes: 50_000, MatchWorkers: 1})
-	g.CompressPaths()
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		ix := HeadIndex(g.CanonicalClasses())
-		for _, r := range rules {
-			total += len(searchIndexed(g, ix, r))
+		found, _ := searchRules(ctx, g, rules, 1)
+		for _, f := range found {
+			total += len(f.matches)
 		}
 	}
 	b.ReportMetric(float64(total)/float64(b.N), "matches")

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// The parallel match phase. Equality saturation alternates a read-only
+// The match phase. Equality saturation alternates a read-only
 // search phase (every rule matched against every e-class) with a mutating
 // apply/rebuild phase. The search phase dominates compile time on large
 // kernels and is embarrassingly parallel: this file shards the canonical
@@ -16,15 +16,16 @@ import (
 // per-(rule, shard) buffers, and merges them in canonical (rule, e-class
 // ID) order, so the runner's apply phase — and therefore the extracted
 // program, the Journal, and rewrite provenance — is bit-for-bit identical
-// at any worker count.
+// at any worker count. There is one code path: a single worker runs the
+// same tasks on the calling goroutine.
 //
 // Safety rests on two invariants, both enforced by the runner:
 //
 //  1. Searchers never mutate the graph (the Rewrite contract). All
 //     built-in rules defer node creation to Apply.
 //  2. Find performs no union-find writes once paths are compressed. The
-//     runner calls CompressPaths serially before fanning out, after which
-//     every chain has length ≤ 1 and Find's path-halving never fires.
+//     match phase calls CompressPaths serially before fanning out, after
+//     which every chain has length ≤ 1 and Find's path-halving never fires.
 
 // ShardedRewrite is optionally implemented by rewrites whose search can be
 // restricted to a subset of e-classes. The runner uses it to shard the
@@ -62,13 +63,15 @@ func DefaultMatchWorkers() int { return runtime.GOMAXPROCS(0) }
 // cheaper than this cost more in scheduling than they win in parallelism.
 const matchShardMin = 32
 
-// matchParallelMinClasses gates the parallel matcher: graphs smaller than
-// this search faster serially than the pool spins up. The cutover is
-// behavior-neutral — results are identical on both paths.
+// matchParallelMinClasses is the class count below which the runner hands
+// the match phase a single worker: smaller graphs search faster on the
+// calling goroutine than a pool spins up. The cutover is behavior-neutral —
+// results are identical at every worker count.
 const matchParallelMinClasses = 64
 
 // ruleMatches is one rule's merged search result for one iteration.
 type ruleMatches struct {
+	rule    Rewrite
 	matches []Match
 	// searchDur sums the rule's per-shard search times — attributed CPU
 	// time, not wall time (shards run concurrently). The iteration wall
@@ -76,16 +79,17 @@ type ruleMatches struct {
 	searchDur time.Duration
 }
 
-// searchParallel runs the read-only match phase for rules over g on a
-// bounded worker pool, returning per-rule matches in the same order and
-// with the same contents the serial matcher would produce: within each
-// rule, matches appear in canonical e-class order. The caller must pass
-// only rules eligible to search this iteration (bans already filtered).
+// searchRules runs the read-only match phase for rules over g on at most
+// workers goroutines, returning per-rule matches in rule order; within each
+// rule, matches appear in canonical e-class order, so the result is the
+// same at every worker count. The caller must pass only rules eligible to
+// search this iteration (bans already filtered). With one worker every rule
+// is a single task and the tasks run on the calling goroutine.
 //
-// cancelled reports that ctx fired before every task completed; partial
-// results are discarded and the caller stops the run, mirroring the serial
-// matcher's between-rules cancellation check.
-func searchParallel(ctx context.Context, g *EGraph, rules []Rewrite, workers int) (out []ruleMatches, cancelled bool) {
+// cancelled reports that ctx fired before the match phase returned (it is
+// polled between tasks, so the remaining tasks are skipped); results are
+// discarded and the caller stops the run.
+func searchRules(ctx context.Context, g *EGraph, rules []Rewrite, workers int) (out []ruleMatches, cancelled bool) {
 	// Serial prologue: after this, Find is write-free until the next Union.
 	g.CompressPaths()
 	classes := g.CanonicalClasses()
@@ -93,106 +97,101 @@ func searchParallel(ctx context.Context, g *EGraph, rules []Rewrite, workers int
 
 	// Shard granularity is derived from the full class count, not per-rule
 	// candidate counts, so the cost of one shard is comparable across rules
-	// regardless of how selective their head-op filters are.
-	shardSize := len(classes) / (workers * 4)
-	if shardSize < matchShardMin {
-		shardSize = matchShardMin
+	// regardless of how selective their head-op filters are. One worker
+	// gains nothing from splitting, so its shards span every candidate.
+	shardSize := len(classes)
+	if workers > 1 {
+		shardSize /= workers * 4
 	}
+	shardSize = max(shardSize, matchShardMin)
 
-	type task struct{ rule, shard int }
-	var tasks []task
-	results := make([][][]Match, len(rules))
-	durs := make([][]time.Duration, len(rules))
-	candidates := make([][]*EClass, len(rules))
+	// Tasks are appended rule by rule, shards in class order, and each
+	// task's result lands in its own slot.
+	type task struct {
+		rule    int
+		classes []*EClass // the shard a ShardedRewrite scans
+		matches []Match
+		dur     time.Duration
+	}
+	tasks := make([]task, 0, len(rules))
 	for i, r := range rules {
-		shards := 1
-		if _, ok := r.(ShardedRewrite); ok {
-			// Shardable rules scan only their head-op candidates, split into
-			// contiguous runs of the (ID-ordered) candidate list. Shard
-			// boundaries differ from the pre-index layout, but the rule-major,
-			// class-ordered merge below is unchanged, so the merged match
-			// lists — and everything downstream — are bit-identical.
-			candidates[i] = ix.Candidates(r)
-			shards = (len(candidates[i]) + shardSize - 1) / shardSize
-			if shards < 1 {
-				shards = 1
-			}
+		if _, ok := r.(ShardedRewrite); !ok {
+			tasks = append(tasks, task{rule: i}) // one whole-graph Search
+			continue
 		}
-		results[i] = make([][]Match, shards)
-		durs[i] = make([]time.Duration, shards)
-		for s := 0; s < shards; s++ {
-			tasks = append(tasks, task{rule: i, shard: s})
+		// Shardable rules scan only their head-op candidates, split into
+		// contiguous runs of the (ID-ordered) candidate list; the
+		// rule-major, class-ordered merge below makes the merged match
+		// lists independent of where the shard boundaries fall.
+		cand := ix.Candidates(r)
+		for lo := 0; lo == 0 || lo < len(cand); lo += shardSize { // ≥ 1 task
+			tasks = append(tasks, task{rule: i, classes: cand[lo:min(lo+shardSize, len(cand))]})
 		}
 	}
 
 	var next atomic.Int64
-	var stopped atomic.Bool
 	done := ctx.Done()
-	run := func(t task) {
-		r := rules[t.rule]
-		start := time.Now()
-		var ms []Match
-		if sr, ok := r.(ShardedRewrite); ok {
-			cand := candidates[t.rule]
-			lo := t.shard * shardSize
-			hi := lo + shardSize
-			if hi > len(cand) {
-				hi = len(cand)
+	work := func() {
+		for {
+			select {
+			case <-done:
+				return
+			default:
 			}
-			ms = sr.SearchClasses(g, cand[lo:hi])
-		} else {
-			ms = r.Search(g)
+			i := int(next.Add(1)) - 1
+			if i >= len(tasks) {
+				return
+			}
+			t := &tasks[i]
+			start := time.Now()
+			if sr, ok := rules[t.rule].(ShardedRewrite); ok {
+				t.matches = sr.SearchClasses(g, t.classes)
+			} else {
+				t.matches = rules[t.rule].Search(g)
+			}
+			t.dur = time.Since(start)
 		}
-		results[t.rule][t.shard] = ms
-		durs[t.rule][t.shard] = time.Since(start)
 	}
 
-	n := workers
-	if n > len(tasks) {
-		n = len(tasks)
+	if n := min(workers, len(tasks)); n <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < n; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stopped.Load() {
-					return
-				}
-				select {
-				case <-done:
-					stopped.Store(true)
-					return
-				default:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				run(tasks[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if stopped.Load() {
+	if ctx.Err() != nil {
 		return nil, true
 	}
 
 	// Deterministic merge: rule order, then shard (= canonical class) order.
+	// A single-shard result is used as is.
 	out = make([]ruleMatches, len(rules))
-	for i := range rules {
-		total := 0
-		for _, ms := range results[i] {
-			total += len(ms)
+	for lo := 0; lo < len(tasks); {
+		hi := lo + 1
+		for hi < len(tasks) && tasks[hi].rule == tasks[lo].rule {
+			hi++
 		}
-		merged := make([]Match, 0, total)
-		var d time.Duration
-		for s, ms := range results[i] {
-			merged = append(merged, ms...)
-			d += durs[i][s]
+		rm := ruleMatches{rule: rules[tasks[lo].rule], matches: tasks[lo].matches, searchDur: tasks[lo].dur}
+		if hi-lo > 1 {
+			total := 0
+			for _, t := range tasks[lo:hi] {
+				total += len(t.matches)
+			}
+			rm.matches, rm.searchDur = make([]Match, 0, total), 0
+			for _, t := range tasks[lo:hi] {
+				rm.matches = append(rm.matches, t.matches...)
+				rm.searchDur += t.dur
+			}
 		}
-		out[i] = ruleMatches{matches: merged, searchDur: d}
+		out[tasks[lo].rule] = rm
+		lo = hi
 	}
 	return out, false
 }

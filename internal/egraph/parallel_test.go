@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"diospyros/internal/expr"
+	"diospyros/internal/telemetry"
 )
 
 // deepExpr builds a chain (+ (* x_i c) ...) wide enough that the e-graph
@@ -33,21 +34,38 @@ func testRules() []Rewrite {
 // count and returns the report plus a canonical dump of the final graph.
 func runWorkers(t *testing.T, workers int, jr *Journal) (Report, string) {
 	t.Helper()
+	return runNodeLimit(t, workers, 20_000, jr)
+}
+
+// runNodeLimit is runWorkers with an explicit node limit.
+func runNodeLimit(t *testing.T, workers, maxNodes int, jr *Journal) (Report, string) {
+	t.Helper()
 	g := New()
 	g.AddExpr(deepExpr(48))
 	rep := Run(g, testRules(), Limits{
 		MaxIterations: 4,
-		MaxNodes:      20_000,
+		MaxNodes:      maxNodes,
 		MatchWorkers:  workers,
 		Journal:       jr,
 	})
 	return rep, g.ToDot()
 }
 
+// zeroDurations clears the wall-time fields of a report, the only fields
+// allowed to differ between worker counts.
+func zeroDurations(rep Report) Report {
+	rep.Duration = 0
+	rep.Iters = append([]telemetry.IterationGauge(nil), rep.Iters...)
+	for i := range rep.Iters {
+		rep.Iters[i].Duration = 0
+	}
+	return rep
+}
+
 // TestParallelMatchDeterminism checks the tentpole contract: any worker
 // count produces the same iteration count, application counts, per-rule
-// attribution, and — via the dot dump — the same final e-graph as the
-// serial matcher.
+// attribution, and — via the dot dump — the same final e-graph as one
+// worker.
 func TestParallelMatchDeterminism(t *testing.T) {
 	repSerial, dotSerial := runWorkers(t, 1, nil)
 	for _, workers := range []int{2, 4, 8} {
@@ -85,25 +103,28 @@ func TestParallelMatchGauges(t *testing.T) {
 	}
 }
 
+// journalRuleKey identifies one rule-attribution event.
+type journalRuleKey struct {
+	iter int
+	rule string
+}
+
+// journalRuleCounts returns the journal's rule attribution (matches,
+// applications, new nodes) keyed by iteration and rule.
+func journalRuleCounts(jr *Journal) map[journalRuleKey][3]int {
+	out := map[journalRuleKey][3]int{}
+	for _, ev := range jr.Events() {
+		if ev.Kind == JournalRule {
+			out[journalRuleKey{ev.Iteration, ev.Rule}] = [3]int{ev.Matches, ev.Applied, ev.NewNodes}
+		}
+	}
+	return out
+}
+
 // TestParallelMatchJournalCounts checks that the flight recorder's rule
 // attribution (matches, applications, new nodes) is identical at different
 // worker counts; only Duration fields may differ.
 func TestParallelMatchJournalCounts(t *testing.T) {
-	type key struct {
-		kind JournalEventKind
-		iter int
-		rule string
-	}
-	counts := func(jr *Journal) map[key][3]int {
-		out := map[key][3]int{}
-		for _, ev := range jr.Events() {
-			if ev.Kind != JournalRule {
-				continue
-			}
-			out[key{ev.Kind, ev.Iteration, ev.Rule}] = [3]int{ev.Matches, ev.Applied, ev.NewNodes}
-		}
-		return out
-	}
 	jrSerial := NewJournal(0)
 	runWorkers(t, 1, jrSerial)
 	jrPar := NewJournal(0)
@@ -111,8 +132,39 @@ func TestParallelMatchJournalCounts(t *testing.T) {
 	if jrSerial.Total() != jrPar.Total() {
 		t.Fatalf("journal event totals differ: %d vs %d", jrSerial.Total(), jrPar.Total())
 	}
-	if !reflect.DeepEqual(counts(jrSerial), counts(jrPar)) {
-		t.Fatalf("journal rule attribution diverged:\n%v\nvs\n%v", counts(jrSerial), counts(jrPar))
+	if !reflect.DeepEqual(journalRuleCounts(jrSerial), journalRuleCounts(jrPar)) {
+		t.Fatalf("journal rule attribution diverged:\n%v\nvs\n%v",
+			journalRuleCounts(jrSerial), journalRuleCounts(jrPar))
+	}
+}
+
+// TestNodeLimitStopParity stops a run at the node limit in the middle of
+// an apply phase and checks that the stopped run is the same at one and
+// four workers: the Report (durations zeroed), the final graph, and the
+// journal's rule attribution, including the cut-short rule's event.
+func TestNodeLimitStopParity(t *testing.T) {
+	const maxNodes = 1500
+	jr1, jr4 := NewJournal(0), NewJournal(0)
+	rep1, dot1 := runNodeLimit(t, 1, maxNodes, jr1)
+	rep4, dot4 := runNodeLimit(t, 4, maxNodes, jr4)
+	if rep1.Reason != StopNodeLimit {
+		t.Fatalf("reason = %s, want %s (%+v)", rep1.Reason, StopNodeLimit, rep1)
+	}
+	if last := rep1.Iters[len(rep1.Iters)-1]; last.Applied == 0 || last.Applied >= last.Matches {
+		t.Fatalf("last iteration applied %d of %d matches; want a stop mid-apply",
+			last.Applied, last.Matches)
+	}
+	if a, b := zeroDurations(rep1), zeroDurations(rep4); !reflect.DeepEqual(a, b) {
+		t.Fatalf("reports diverged:\n%+v\nvs\n%+v", a, b)
+	}
+	if dot1 != dot4 {
+		t.Fatal("final e-graphs diverged")
+	}
+	if jr1.Total() != jr4.Total() {
+		t.Fatalf("journal event totals differ: %d vs %d", jr1.Total(), jr4.Total())
+	}
+	if a, b := journalRuleCounts(jr1), journalRuleCounts(jr4); !reflect.DeepEqual(a, b) {
+		t.Fatalf("journal rule attribution diverged:\n%v\nvs\n%v", a, b)
 	}
 }
 
@@ -150,16 +202,38 @@ func TestCompressPathsMakesFindReadOnly(t *testing.T) {
 	}
 }
 
-// TestParallelSearchCancellation checks that a cancelled context stops the
-// parallel matcher and reports StopCancelled.
+// cancelOnSearch wraps a rewrite and cancels the run's context from inside
+// its search — a deterministic cancellation during the match phase.
+type cancelOnSearch struct {
+	Rewrite
+	cancel context.CancelFunc
+}
+
+func (c cancelOnSearch) Search(g *EGraph) []Match {
+	c.cancel()
+	return c.Rewrite.Search(g)
+}
+
+// TestParallelSearchCancellation checks that a context cancelled during
+// the match phase stops the run in that iteration and reports
+// StopCancelled, with no matches recorded, at every worker count.
 func TestParallelSearchCancellation(t *testing.T) {
-	g := New()
-	g.AddExpr(deepExpr(64))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rep := RunContext(ctx, g, testRules(), Limits{MaxIterations: 6, MatchWorkers: 4})
-	if rep.Reason != StopCancelled {
-		t.Fatalf("reason = %s, want %s", rep.Reason, StopCancelled)
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			g := New()
+			g.AddExpr(deepExpr(64))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			rules := append([]Rewrite{cancelOnSearch{MustRewrite("mul-1", "(* ?a 1)", "?a"), cancel}},
+				testRules()...)
+			rep := RunContext(ctx, g, rules, Limits{MaxIterations: 6, MatchWorkers: workers})
+			if rep.Reason != StopCancelled {
+				t.Fatalf("reason = %s, want %s", rep.Reason, StopCancelled)
+			}
+			if rep.Iterations != 1 || rep.Applied != 0 || len(rep.Iters) != 1 || rep.Iters[0].Matches != 0 {
+				t.Fatalf("cancelled match phase recorded work: %+v", rep)
+			}
+		})
 	}
 }
 

@@ -129,13 +129,14 @@ type Limits struct {
 	// while the run writes. Nil costs one branch per rule per iteration.
 	Journal *Journal
 	// MatchWorkers bounds the worker pool for the read-only match phase.
-	// 0 means DefaultMatchWorkers (one per CPU); 1 forces the serial
-	// matcher; higher values cap the pool. The setting never changes
-	// results: per-worker match buffers are merged in canonical (rule,
-	// e-class ID) order before the serial apply phase, so the extracted
-	// program, Report counts, and Journal rule attribution are identical
-	// at every worker count (rule search Durations, which attribute
-	// concurrent CPU time, are the one telemetry field that may differ).
+	// 0 means DefaultMatchWorkers (one per CPU); 1 runs the match tasks on
+	// the calling goroutine; higher values cap the pool. The setting never
+	// changes results: per-worker match buffers are merged in canonical
+	// (rule, e-class ID) order before the serial apply phase, so the
+	// extracted program, Report counts, and Journal rule attribution are
+	// identical at every worker count (rule search Durations, which
+	// attribute concurrent CPU time, are the one telemetry field that may
+	// differ).
 	MatchWorkers int
 }
 
@@ -188,11 +189,12 @@ func Run(g *EGraph, rules []Rewrite, lim Limits) Report {
 // rule application order within an iteration cannot hide matches (the
 // phase-ordering-free property of equality saturation, paper §3.3).
 //
-// The context is honored in both the search phase (between rules) and the
-// apply phase (every ctxCheckInterval applies), so cancelling it stops the
-// run well within one iteration. A cancelled run reports StopCancelled
-// (StopTimeout when the context's deadline expired) and always leaves the
-// e-graph rebuilt, so partial results remain extractable.
+// The context is honored in both the search phase (between match tasks)
+// and the apply phase (every ctxCheckInterval applies), so cancelling it
+// stops the run well within one iteration. A cancelled run reports
+// StopCancelled (StopTimeout when the context's deadline expired) and
+// always leaves the e-graph rebuilt, so partial results remain
+// extractable.
 func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Report {
 	if lim.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -249,7 +251,6 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 		}
 	}
 
-loop:
 	for iter := 0; iter < maxIter; iter++ {
 		if nodesOver() {
 			rep.Reason = StopNodeLimit
@@ -268,49 +269,35 @@ loop:
 			PerRuleApplied: map[string]int{},
 		}
 
-		type found struct {
-			rule      Rewrite
-			matches   []Match
-			searchDur time.Duration
-		}
-		ruleSkipped := false
-		all := make([]found, 0, len(rules))
-
-		// Parallel match phase: search every eligible rule over a sharded,
-		// read-only view of the graph before any matches are applied. The
-		// merged results are exactly what the serial branch below would
-		// produce (parallel.go), so the backoff and journal bookkeeping in
-		// the shared loop behaves identically on both paths.
-		var par []ruleMatches
-		if w := lim.matchWorkers(); w > 1 && g.NumClasses() >= matchParallelMinClasses {
-			eligible := make([]Rewrite, 0, len(rules))
-			for _, r := range rules {
-				if lim.Backoff != nil && lim.Backoff.banned(r.Name(), iter) {
-					continue
-				}
+		// Match phase: search every eligible rule before any match is
+		// applied. Small graphs get one worker, which runs the same tasks
+		// on this goroutine.
+		eligible := make([]Rewrite, 0, len(rules))
+		for _, r := range rules {
+			if lim.Backoff == nil || !lim.Backoff.banned(r.Name(), iter) {
 				eligible = append(eligible, r)
 			}
-			var cancelled bool
-			if par, cancelled = searchParallel(ctx, g, eligible, w); cancelled {
-				reason, _ := ctxStop()
-				if reason == "" {
-					reason = StopCancelled
-				}
-				rep.Reason = reason
-				flushGauge()
-				break loop
+		}
+		w := lim.matchWorkers()
+		if g.NumClasses() < matchParallelMinClasses {
+			w = 1
+		}
+		found, cancelled := searchRules(ctx, g, eligible, w)
+		var stop StopReason
+		searched := rules
+		if cancelled {
+			// Skip the bookkeeping below: the iteration records no matches.
+			searched = nil
+			if stop, _ = ctxStop(); stop == "" {
+				stop = StopCancelled
 			}
 		}
-		// The serial match phase shares the parallel phase's head-op index:
-		// one class snapshot + index build per iteration, then every rule
-		// scans only its candidate classes (searchIndexed falls back to the
-		// rule's own whole-graph Search for non-shardable rewrites).
-		var ix *ClassIndex
-		if par == nil {
-			ix = HeadIndex(g.CanonicalClasses())
-		}
-		k := 0 // cursor into par, advanced once per eligible rule
-		for _, r := range rules {
+
+		// Backoff and journal bookkeeping, in rule order.
+		ruleSkipped := false
+		all := make([]ruleMatches, 0, len(found))
+		k := 0 // cursor into found, advanced once per eligible rule
+		for _, r := range searched {
 			if jr != nil && lim.Backoff != nil {
 				// A rule whose ban expires exactly this iteration rejoins
 				// the search; make the transition visible in the journal.
@@ -323,46 +310,22 @@ loop:
 				ruleSkipped = true
 				continue
 			}
-			var ms []Match
-			var searchDur time.Duration
-			if par != nil {
-				ms, searchDur = par[k].matches, par[k].searchDur
-				k++
-			} else {
-				var searchStart time.Time
-				if jr != nil {
-					searchStart = time.Now()
-				}
-				ms = searchIndexed(g, ix, r)
-				if jr != nil {
-					searchDur = time.Since(searchStart)
-				}
-			}
-			if lim.Backoff != nil && lim.Backoff.record(r.Name(), len(ms), iter) {
+			f := found[k]
+			k++
+			if lim.Backoff != nil && lim.Backoff.record(r.Name(), len(f.matches), iter) {
 				if jr != nil {
 					bans, until := lim.Backoff.Stat(r.Name())
 					jr.append(JournalEvent{Kind: JournalBan, Iteration: iter + 1,
-						Rule: r.Name(), Matches: len(ms),
-						BannedUntil: until + 1, Bans: bans, Duration: searchDur})
+						Rule: r.Name(), Matches: len(f.matches),
+						BannedUntil: until + 1, Bans: bans, Duration: f.searchDur})
 				}
 				ruleSkipped = true
 				continue
 			}
-			if len(ms) > 0 {
-				all = append(all, found{r, ms, searchDur})
-				gauge.Matches += len(ms)
-				gauge.PerRuleMatches[r.Name()] += len(ms)
-			}
-			if par == nil {
-				if reason, stop := ctxStop(); stop {
-					// Searching can be the expensive phase for custom
-					// searchers; honor cancellation between rules. (The
-					// parallel matcher polls the context inside its worker
-					// pool instead.)
-					rep.Reason = reason
-					flushGauge()
-					break loop
-				}
+			if len(f.matches) > 0 {
+				all = append(all, f)
+				gauge.Matches += len(f.matches)
+				gauge.PerRuleMatches[r.Name()] += len(f.matches)
 			}
 		}
 
@@ -371,7 +334,9 @@ loop:
 		prov := g.ProvenanceEnabled()
 		// flushRule emits one rule-attribution event covering the rule's
 		// search and (possibly cut-short) apply phase this iteration.
-		flushRule := func(f found, applyStart time.Time, nodesBefore int) {
+		var applyStart time.Time
+		var nodesBefore int
+		flushRule := func(f ruleMatches) {
 			jr.append(JournalEvent{
 				Kind: JournalRule, Iteration: iter + 1, Rule: f.rule.Name(),
 				Matches: len(f.matches), Applied: gauge.PerRuleApplied[f.rule.Name()],
@@ -379,9 +344,9 @@ loop:
 				Duration: f.searchDur + time.Since(applyStart),
 			})
 		}
-		for _, f := range all {
-			var applyStart time.Time
-			var nodesBefore int
+		applying := -1 // index into all of the rule a limit cut short
+	apply:
+		for i, f := range all {
 			if jr != nil {
 				applyStart = time.Now()
 				nodesBefore = g.NumNodes()
@@ -400,36 +365,34 @@ loop:
 					gauge.PerRuleApplied[f.rule.Name()]++
 				}
 				if nodesOver() {
-					g.ClearRuleContext()
-					g.Rebuild()
-					rep.Reason = StopNodeLimit
-					if jr != nil {
-						flushRule(f, applyStart, nodesBefore)
-					}
-					flushGauge()
-					break loop
-				}
-				if sinceCheck++; sinceCheck >= ctxCheckInterval {
+					stop = StopNodeLimit
+				} else if sinceCheck++; sinceCheck >= ctxCheckInterval {
 					sinceCheck = 0
 					lim.Progress.publish(iter+1, g.NumNodes(), g.NumClasses(), liveBytes())
-					if reason, stop := ctxStop(); stop {
-						g.ClearRuleContext()
-						g.Rebuild()
-						rep.Reason = reason
-						if jr != nil {
-							flushRule(f, applyStart, nodesBefore)
-						}
-						flushGauge()
-						break loop
-					}
+					stop, _ = ctxStop()
+				}
+				if stop != "" {
+					applying = i
+					break apply
 				}
 			}
 			if jr != nil {
-				flushRule(f, applyStart, nodesBefore)
+				flushRule(f)
 			}
 		}
 		g.ClearRuleContext()
 		g.Rebuild()
+		if stop != "" {
+			// The one mid-iteration exit: the graph is rebuilt, so partial
+			// results stay extractable; the cut-short rule is attributed
+			// after the rebuild, and the iteration gets a partial gauge.
+			if jr != nil && applying >= 0 {
+				flushRule(all[applying])
+			}
+			rep.Reason = stop
+			flushGauge()
+			break
+		}
 		lim.Progress.publish(iter+1, g.NumNodes(), g.NumClasses(), liveBytes())
 		flushGauge()
 		jr.sampleCosts(g, iter+1)

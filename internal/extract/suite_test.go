@@ -18,7 +18,7 @@ func saturate(t testing.TB, k bench.Kernel, widths []int) (*egraph.EGraph, egrap
 	t.Helper()
 	g := egraph.New()
 	root := g.AddExpr(k.Lift().Spec)
-	cfg := rules.Config{Width: isa.Width, Widths: widths}
+	cfg := rules.Config{Widths: widths}
 	egraph.Run(g, cfg.Rules(), egraph.Limits{MaxNodes: 10_000_000})
 	return g, root
 }

@@ -22,17 +22,15 @@ import (
 
 // Config selects and parameterizes the rule set.
 type Config struct {
-	// Width is the machine vector width (lanes per Vec). The Fusion G3
-	// target of the paper has Width 4. Ignored when Widths is set.
-	Width int
-
-	// Widths, when non-empty, requests multi-width saturation: one chunk
-	// rule per width populates the e-graph with Vec decompositions of
-	// every listed width simultaneously, and the lane-wise/MAC searchers
-	// match Vec nodes of any listed width. Per-target extraction then
-	// picks one width via the cost model (cost.Diospyros.Width). The list
-	// is deduplicated and sorted, so the rule set — and therefore the
-	// e-graph — is identical regardless of request order.
+	// Widths lists the machine vector widths (lanes per Vec); the Fusion
+	// G3 target of the paper has width 4. More than one width requests
+	// multi-width saturation: one chunk rule per width populates the
+	// e-graph with Vec decompositions of every listed width simultaneously,
+	// and the lane-wise/MAC searchers match Vec nodes of any listed width.
+	// Per-target extraction then picks one width via the cost model
+	// (cost.Diospyros.Width). The list is deduplicated and sorted, so the
+	// rule set — and therefore the e-graph — is identical regardless of
+	// request order.
 	Widths []int
 
 	// EnableAC turns on full associativity/commutativity rules for + and *.
@@ -43,27 +41,22 @@ type Config struct {
 	// DisableVector removes every vector-introducing rule, leaving scalar
 	// simplification and CSE only (the §5.6 ablation).
 	DisableVector bool
-
-	// MaxLaneAlts caps how many alternative decompositions are considered
-	// per lane in the custom searchers. 0 means the default (2).
-	MaxLaneAlts int
-
-	// MaxCombos caps how many lane-combination candidates one Vec node can
-	// produce per rule per iteration. 0 means the default (4).
-	MaxCombos int
 }
 
+const (
+	// maxLaneAlts caps how many alternative decompositions the custom
+	// searchers consider per lane.
+	maxLaneAlts = 2
+	// maxCombos caps how many lane-combination candidates one Vec node can
+	// produce per rule per iteration.
+	maxCombos = 4
+)
+
 // Default returns the configuration used throughout the evaluation.
-func Default(width int) Config { return Config{Width: width} }
+func Default(width int) Config { return Config{Widths: []int{width}} }
 
 // widths returns the effective, sorted, deduplicated width list.
 func (c Config) widths() []int {
-	if len(c.Widths) == 0 {
-		if c.Width <= 0 {
-			return nil
-		}
-		return []int{c.Width}
-	}
 	seen := map[int]bool{}
 	var out []int
 	for _, w := range c.Widths {
@@ -76,32 +69,18 @@ func (c Config) widths() []int {
 	return out
 }
 
-func (c Config) laneAlts() int {
-	if c.MaxLaneAlts <= 0 {
-		return 2
-	}
-	return c.MaxLaneAlts
-}
-
-func (c Config) combos() int {
-	if c.MaxCombos <= 0 {
-		return 4
-	}
-	return c.MaxCombos
-}
-
 // Rules builds the rewrite list for the configuration.
 func (c Config) Rules() []egraph.Rewrite {
-	widths := c.widths()
-	if len(widths) == 0 {
-		panic("rules: Width must be positive")
-	}
 	out := scalarRules()
 	out = append(out, constFoldRule{})
 	if c.EnableAC {
 		out = append(out, acRules()...)
 	}
 	if !c.DisableVector {
+		widths := c.widths()
+		if len(widths) == 0 {
+			panic("rules: vector rules need a width above 1 in Widths")
+		}
 		for _, w := range widths {
 			out = append(out, chunkRule{width: w})
 		}

@@ -18,7 +18,7 @@ func saturateAndExtract(t *testing.T, src string, cfg Config) (*expr.Expr, egrap
 	g := egraph.New()
 	root := g.AddExpr(expr.MustParse(src))
 	rep := egraph.Run(g, cfg.Rules(), egraph.Limits{MaxIterations: 30, MaxNodes: 200000})
-	ex := extract.New(g, cost.Diospyros{Width: cfg.Width})
+	ex := extract.New(g, cost.Diospyros{Width: cfg.Widths[0]})
 	out, err := ex.Expr(root)
 	if err != nil {
 		t.Fatalf("extract: %v", err)
@@ -298,7 +298,7 @@ func TestRandomSpecSoundness(t *testing.T) {
 		root := g.AddExpr(spec)
 		cfg := Default(4)
 		egraph.Run(g, cfg.Rules(), egraph.Limits{MaxIterations: 20, MaxNodes: 50000})
-		ex := extract.New(g, cost.Diospyros{Width: cfg.Width})
+		ex := extract.New(g, cost.Diospyros{Width: cfg.Widths[0]})
 		out, err := ex.Expr(root)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -337,7 +337,7 @@ func TestExtractedCostReflectsMovement(t *testing.T) {
 		root := g.AddExpr(expr.MustParse(src))
 		cfg := Default(4)
 		egraph.Run(g, cfg.Rules(), egraph.Limits{MaxIterations: 20, MaxNodes: 50000})
-		ex := extract.New(g, cost.Diospyros{Width: cfg.Width})
+		ex := extract.New(g, cost.Diospyros{Width: cfg.Widths[0]})
 		return ex.Cost(root)
 	}
 	if cs, cc := costOf(single), costOf(cross); cs >= cc {

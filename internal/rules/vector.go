@@ -54,12 +54,11 @@ func classHasLit(g *egraph.EGraph, id egraph.ClassID, v float64) bool {
 //
 //	(Vec (+ a b) 0 (+ c d) 0) ⇝ (VecAdd (Vec a 0 c 0) (Vec b 0 d 0))
 type vectorizeRule struct {
-	cfg Config
-	ws  widthSet
+	ws widthSet
 }
 
 func newVectorizeRule(cfg Config) egraph.Rewrite {
-	return vectorizeRule{cfg: cfg, ws: newWidthSet(cfg)}
+	return vectorizeRule{ws: newWidthSet(cfg)}
 }
 
 // widthSet is the set of configured machine widths, precomputed once so the
@@ -107,25 +106,24 @@ func (r vectorizeRule) Search(g *egraph.EGraph) []egraph.Match {
 // the runner can shard lane-wise matching across workers.
 func (r vectorizeRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
 	var out []egraph.Match
-	maxAlts, maxCombos := r.cfg.laneAlts(), r.cfg.combos()
 	for _, cls := range classes {
 		for _, vecNode := range cls.Nodes {
 			if vecNode.Op != expr.OpVec || !r.ws[len(vecNode.Args)] {
 				continue
 			}
 			for _, fam := range laneOps {
-				alts, anyReal := laneDecompositions(g, vecNode.Args, fam.scalar, fam.zero, maxAlts)
+				alts, anyReal := laneDecompositions(g, vecNode.Args, fam.scalar, fam.zero)
 				if alts == nil || !anyReal {
 					continue
 				}
-				for _, combo := range enumerate(alts, maxCombos) {
+				for _, combo := range enumerate(alts) {
 					out = append(out, egraph.Match{
 						Class: cls.ID,
 						Data:  vecMatch{op: fam.vector, lanes: combo},
 					})
 				}
 			}
-			out = append(out, r.searchFunc(g, cls.ID, vecNode, maxAlts, maxCombos)...)
+			out = append(out, r.searchFunc(g, cls.ID, vecNode)...)
 		}
 	}
 	return out
@@ -134,7 +132,7 @@ func (r vectorizeRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass)
 // searchFunc vectorizes lanes that all call the same uninterpreted function
 // with the same arity: (Vec (func f a) (func f b) ...) ⇝ (VecFunc f (Vec a b ...)).
 // This is the extension hook §6 describes (e.g. a target recip instruction).
-func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode egraph.ENode, maxAlts, maxCombos int) []egraph.Match {
+func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode egraph.ENode) []egraph.Match {
 	// Collect candidate (name, arity) pairs from the first lane.
 	first := g.Class(vecNode.Args[0])
 	if first == nil {
@@ -159,7 +157,7 @@ func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode 
 						ops[i] = operand{class: a}
 					}
 					laneAlts = append(laneAlts, ops)
-					if len(laneAlts) >= maxAlts {
+					if len(laneAlts) >= maxLaneAlts {
 						break
 					}
 				}
@@ -173,7 +171,7 @@ func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode 
 		if !ok {
 			continue
 		}
-		for _, combo := range enumerate(alts, maxCombos) {
+		for _, combo := range enumerate(alts) {
 			out = append(out, egraph.Match{
 				Class: class,
 				Data:  vecMatch{op: expr.OpVecFunc, sym: n.Sym, lanes: combo},
@@ -183,11 +181,11 @@ func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode 
 	return out
 }
 
-// laneDecompositions finds, for every lane class, up to maxAlts operand
+// laneDecompositions finds, for every lane class, up to maxLaneAlts operand
 // tuples under the scalar operator op (or the zero tuple for literal-zero
 // lanes). It returns nil if some lane has no decomposition. anyReal reports
 // whether at least one lane decomposed through an actual operator node.
-func laneDecompositions(g *egraph.EGraph, lanes []egraph.ClassID, op expr.Op, zero []operand, maxAlts int) (alts [][][]operand, anyReal bool) {
+func laneDecompositions(g *egraph.EGraph, lanes []egraph.ClassID, op expr.Op, zero []operand) (alts [][][]operand, anyReal bool) {
 	alts = make([][][]operand, 0, len(lanes))
 	for _, lane := range lanes {
 		var laneAlts [][]operand
@@ -205,7 +203,7 @@ func laneDecompositions(g *egraph.EGraph, lanes []egraph.ClassID, op expr.Op, ze
 			}
 			laneAlts = append(laneAlts, ops)
 			anyReal = true
-			if len(laneAlts) >= maxAlts {
+			if len(laneAlts) >= maxLaneAlts {
 				break
 			}
 		}
@@ -223,7 +221,7 @@ func laneDecompositions(g *egraph.EGraph, lanes []egraph.ClassID, op expr.Op, ze
 // enumerate takes per-lane alternative lists and yields up to maxCombos
 // full combinations (odometer order, so the first combination uses each
 // lane's first alternative).
-func enumerate(alts [][][]operand, maxCombos int) [][][]operand {
+func enumerate(alts [][][]operand) [][][]operand {
 	idx := make([]int, len(alts))
 	var out [][][]operand
 	for {
@@ -277,12 +275,11 @@ func (r vectorizeRule) Apply(g *egraph.EGraph, m egraph.Match) bool {
 // These equivalences are recomputed every iteration rather than persisted
 // in the e-graph, trading compute for memory exactly as the paper does.
 type macRule struct {
-	cfg Config
-	ws  widthSet
+	ws widthSet
 }
 
 func newMACRule(cfg Config) egraph.Rewrite {
-	return macRule{cfg: cfg, ws: newWidthSet(cfg)}
+	return macRule{ws: newWidthSet(cfg)}
 }
 
 func (macRule) Name() string { return "vec-mac" }
@@ -299,17 +296,16 @@ func (r macRule) Search(g *egraph.EGraph) []egraph.Match {
 // the runner can shard MAC matching across workers.
 func (r macRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
 	var out []egraph.Match
-	maxAlts, maxCombos := r.cfg.laneAlts(), r.cfg.combos()
 	for _, cls := range classes {
 		for _, vecNode := range cls.Nodes {
 			if vecNode.Op != expr.OpVec || !r.ws[len(vecNode.Args)] {
 				continue
 			}
-			alts, anySum := macLanes(g, vecNode.Args, maxAlts)
+			alts, anySum := macLanes(g, vecNode.Args)
 			if alts == nil || !anySum {
 				continue
 			}
-			for _, combo := range enumerate(alts, maxCombos) {
+			for _, combo := range enumerate(alts) {
 				out = append(out, egraph.Match{
 					Class: cls.ID,
 					Data:  vecMatch{op: expr.OpVecMAC, lanes: combo},
@@ -323,7 +319,7 @@ func (r macRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egr
 // macLanes computes per-lane (acc, b, c) triples. anySum reports whether at
 // least one lane matched a genuine (+ _ (* _ _)) form — if none did, the
 // plain VecMul rule is the right tool and MAC would only add noise.
-func macLanes(g *egraph.EGraph, lanes []egraph.ClassID, maxAlts int) (alts [][][]operand, anySum bool) {
+func macLanes(g *egraph.EGraph, lanes []egraph.ClassID) (alts [][][]operand, anySum bool) {
 	zero := litOperand(0)
 	alts = make([][][]operand, 0, len(lanes))
 	for _, lane := range lanes {
@@ -334,7 +330,7 @@ func macLanes(g *egraph.EGraph, lanes []egraph.ClassID, maxAlts int) (alts [][][
 		}
 		addAlt := func(a []operand) bool {
 			laneAlts = append(laneAlts, a)
-			return len(laneAlts) >= maxAlts
+			return len(laneAlts) >= maxLaneAlts
 		}
 	scan:
 		for _, n := range cls.Nodes {
@@ -370,6 +366,6 @@ func macLanes(g *egraph.EGraph, lanes []egraph.ClassID, maxAlts int) (alts [][][
 	return alts, anySum
 }
 
-func (r macRule) Apply(g *egraph.EGraph, m egraph.Match) bool {
-	return vectorizeRule{cfg: r.cfg}.Apply(g, m)
+func (macRule) Apply(g *egraph.EGraph, m egraph.Match) bool {
+	return vectorizeRule{}.Apply(g, m)
 }

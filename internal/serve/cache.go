@@ -216,8 +216,8 @@ func normalizeSource(src string) string {
 // neutralized by sorting OpCost keys.
 func canonicalOptions(o diospyros.Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "width=%d;timeout=%d;nodes=%d;iters=%d;novec=%t;ac=%t;backoff=%t;validate=%t;explain=%t;",
-		o.Width, int64(o.Timeout), o.NodeLimit, o.MaxIterations,
+	fmt.Fprintf(&b, "timeout=%d;nodes=%d;iters=%d;novec=%t;ac=%t;backoff=%t;validate=%t;explain=%t;",
+		int64(o.Timeout), o.NodeLimit, o.MaxIterations,
 		o.DisableVectorRules, o.EnableAC, o.UseBackoff, o.Validate, o.Explain)
 	fmt.Fprintf(&b, "target=%q;", o.Target)
 	for _, t := range o.Targets {

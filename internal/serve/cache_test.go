@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -142,6 +143,29 @@ func TestCacheHitOnRepeatCompile(t *testing.T) {
 	resp3, _ := postCompile(t, ts.URL, strings.ReplaceAll(dotprod, "\n", "\r\n"), "text/plain")
 	if got := resp3.Header.Get("X-Dios-Cache"); got != "hit" {
 		t.Errorf("CRLF re-encoding missed the cache: X-Dios-Cache = %q", got)
+	}
+}
+
+// TestCacheRepeatAfterMissHits: the leader publishes its result to the
+// cache before its response is written, so a client that repeats a request
+// the moment its miss returns always hits — never joins the finished
+// flight as "coalesced". Each pair uses fresh source so every first
+// request is a miss; multi-target requests make the response (and so the
+// window a late publish would leave) large.
+func TestCacheRepeatAfterMissHits(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for i := 0; i < 20; i++ {
+		src := strings.Replace(dotprod, "kernel dot4", fmt.Sprintf("kernel dot4_%d", i), 1)
+		body, _ := json.Marshal(CompileRequest{Source: src, Targets: []string{"fg3lite-4", "fg3lite-8"}})
+		for _, want := range []string{"miss", "hit"} {
+			resp, cr := postCompile(t, ts.URL, string(body), "application/json")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("pair %d: status %d (%s)", i, resp.StatusCode, cr.Error)
+			}
+			if got := resp.Header.Get("X-Dios-Cache"); got != want {
+				t.Fatalf("pair %d: X-Dios-Cache = %q, want %s", i, got, want)
+			}
+		}
 	}
 }
 

@@ -335,16 +335,14 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	// Content-addressed compile cache (cache.go): a hit or a coalesced
 	// result answers before admission, without taking a worker slot. A miss
-	// makes this request the flight's leader; the deferred finish publishes
-	// its result — or, on failure, releases the followers to compile for
-	// themselves.
-	var (
-		flight    *cacheFlight
-		flightKey string
-		flightRes *diospyros.Result
-	)
+	// makes this request the flight's leader, which publishes its result
+	// before writing the response, so a client repeating the request at
+	// once hits the cache. On every early return (shed, client gone, failed
+	// compile) the deferred publish(nil) releases the followers to compile
+	// for themselves instead.
+	publish := func(*diospyros.Result) {}
 	if s.cache != nil && !wantsStream(r) && cacheableRequest(opts) {
-		flightKey = compileCacheKey(src, opts)
+		flightKey := compileCacheKey(src, opts)
 		lookupStart := time.Now()
 		res, fl, state := s.cache.acquire(flightKey)
 		ph.CacheLookup = time.Since(lookupStart)
@@ -371,16 +369,20 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 			// The leader failed; fall through and compile independently.
 			ph.Compile = 0
 		case cacheLeader:
-			flight = fl
-			defer func() {
-				evicted := s.cache.finish(flightKey, flight, flightRes)
-				if evicted > 0 {
+			published := false
+			publish = func(res *diospyros.Result) {
+				if published {
+					return
+				}
+				published = true
+				if evicted := s.cache.finish(flightKey, fl, res); evicted > 0 {
 					s.cacheCount("evictions", float64(evicted))
 				}
 				s.reg.GaugeSet("diospyros_serve_cache_bytes",
 					"Estimated bytes held by the compile cache.", nil,
 					float64(s.cache.sizeBytes()))
-			}()
+			}
+			defer publish(nil)
 		}
 		ph.Outcome = "miss"
 		w.Header().Set("X-Dios-Cache", "miss")
@@ -481,7 +483,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writePhased(w, code, resp, ph)
 		return
 	}
-	flightRes = res // publish to the cache and any coalesced followers
+	publish(res) // to the cache and any coalesced followers
 	resp := s.successResponse(r, id, res)
 	s.writePhased(w, http.StatusOK, resp, ph)
 }

@@ -109,7 +109,6 @@ func stageSaturate(ctx context.Context, st *compileState) error {
 		}
 	}
 	cfg := rules.Config{
-		Width:         isa.Width,
 		Widths:        widths,
 		EnableAC:      st.opts.EnableAC,
 		DisableVector: st.opts.DisableVectorRules || len(widths) == 0,

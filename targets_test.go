@@ -102,19 +102,15 @@ func TestMultiTargetDedup(t *testing.T) {
 	}
 }
 
+// TestResolveTargetsLegacyWidth: a request naming no target resolves to
+// the default target, fg3lite-4.
 func TestResolveTargetsLegacyWidth(t *testing.T) {
-	for _, tc := range []struct {
-		width int
-		want  string
-	}{{0, "fg3lite-4"}, {4, "fg3lite-4"}, {8, "fg3lite-8"}, {2, "fg3lite-2"}, {1, "scalar"}} {
-		opts := Options{Width: tc.width}.withDefaults()
-		targets, err := resolveTargets(opts)
-		if err != nil {
-			t.Fatalf("width %d: %v", tc.width, err)
-		}
-		if len(targets) != 1 || targets[0].Name != tc.want {
-			t.Fatalf("width %d resolved to %v, want %s", tc.width, targets, tc.want)
-		}
+	targets, err := resolveTargets(Options{}.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(targets) != 1 || targets[0].Name != "fg3lite-4" {
+		t.Fatalf("empty options resolved to %v, want fg3lite-4", targets)
 	}
 	if _, err := resolveTargets(Options{Target: "no-such-machine"}.withDefaults()); err == nil {
 		t.Fatal("unknown target accepted")
