@@ -17,6 +17,9 @@
 //	no-vector | ac | backoff | target=NAME | timeout=DUR | node-limit=N |
 //	match-workers=N | cost:OP=V
 //
+// target=NAME may repeat: each appends to the compile's target list, and
+// the first is the primary target the simulation runs.
+//
 // Like diff(1), the exit status distinguishes outcomes: 0 when the runs
 // are equivalent, 1 when they diverge, 2 on usage or artifact errors.
 package main
@@ -26,7 +29,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strconv"
@@ -209,8 +211,8 @@ func compileSide(ctx context.Context, src, label, tokens string, seed int64) (di
 		return diff.Input{}, err
 	}
 	in := diff.Input{Label: label, Kernel: res.Kernel.Name, Trace: res.Trace}
-	if res.Program != nil {
-		if _, sres, err := res.Run(randomInputs(res, seed), nil); err == nil {
+	if res.Primary().Program != nil {
+		if _, sres, err := res.Run(res.Kernel.DeterministicInputs(seed), nil); err == nil {
 			in.Profile = sres.Profile
 			in.Cycles = sres.Cycles
 		}
@@ -235,7 +237,7 @@ func parseOpts(tokens string) (diospyros.Options, error) {
 		case tok == "backoff":
 			opts.UseBackoff = true
 		case key == "target" && hasVal:
-			opts.Target = val
+			opts.Targets = append(opts.Targets, val)
 		case key == "timeout" && hasVal:
 			d, err := time.ParseDuration(val)
 			if err != nil {
@@ -277,22 +279,6 @@ func marshalDiffs(diffs []*diff.Diff) ([]byte, error) {
 		return diffs[0].JSON()
 	}
 	return json.MarshalIndent(diffs, "", "  ")
-}
-
-// randomInputs fills every kernel input with reproducible random tenths in
-// [-10, 10) — the same harness as diospyros -run, so simulated cycles are
-// comparable across the two sides.
-func randomInputs(res *diospyros.Result, seed int64) map[string][]float64 {
-	r := rand.New(rand.NewSource(seed))
-	inputs := map[string][]float64{}
-	for _, d := range res.Kernel.Inputs {
-		s := make([]float64, d.Len())
-		for i := range s {
-			s[i] = float64(int(r.Float64()*200-100)) / 10
-		}
-		inputs[d.Name] = s
-	}
-	return inputs
 }
 
 func usage(msg string) {

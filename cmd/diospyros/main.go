@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"os"
 	"os/signal"
 	"sort"
@@ -196,6 +195,7 @@ func main() {
 		}
 		tw.Flush()
 	}
+	primary := res.Primary()
 	if *trace {
 		fmt.Fprint(os.Stderr, res.Trace.Format())
 	}
@@ -221,14 +221,14 @@ func main() {
 	if *reportOut != "" {
 		data := telemetry.ReportData{
 			Title:    res.Kernel.Name,
-			Subtitle: fmt.Sprintf("%s · cost %.2f", flag.Arg(0), res.Cost),
+			Subtitle: fmt.Sprintf("%s · cost %.2f", flag.Arg(0), primary.Cost),
 			Trace:    res.Trace,
 		}
 		// A simulator run supplies the cycle waterfall when the kernel
 		// compiled to FG3-lite; a report for an IR-only width still renders
 		// the search and extraction sections.
-		if res.Program != nil {
-			if _, sres, err := res.Run(randomInputs(res, *seed), nil); err == nil {
+		if primary.Program != nil {
+			if _, sres, err := res.Run(res.Kernel.DeterministicInputs(*seed), nil); err == nil {
 				data.Cycle = diospyros.ReportCycleProfile(sres.Profile)
 			} else {
 				logger.Warn("report: simulator run failed; omitting cycle waterfall", "err", err)
@@ -253,8 +253,8 @@ func main() {
 		logger.Info("saturation",
 			"nodes", res.Saturation.Nodes, "classes", res.Saturation.Classes,
 			"iterations", res.Saturation.Iterations, "stopped", string(res.Saturation.Reason))
-		logger.Info("extracted", "cost", res.Cost, "vir_instrs", len(res.VIR.Instrs))
-		if res.Validated {
+		logger.Info("extracted", "cost", primary.Cost, "vir_instrs", len(primary.VIR.Instrs))
+		if primary.Validated {
 			logger.Info("translation validation ok")
 		}
 	}
@@ -267,19 +267,19 @@ func main() {
 		}
 		fmt.Println(string(raw))
 		if *out != "" {
-			if err := os.WriteFile(*out, []byte(res.C), 0o644); err != nil {
+			if err := os.WriteFile(*out, []byte(primary.C), 0o644); err != nil {
 				fatal(err)
 			}
 		}
 	case *dumpVIR:
-		fmt.Print(res.VIR.String())
+		fmt.Print(primary.VIR.String())
 	case *dumpAsm:
-		if res.Program == nil {
+		if primary.Program == nil {
 			fatal(fmt.Errorf("primary target has no assembly backend"))
 		}
-		fmt.Print(res.Program.Disassemble())
+		fmt.Print(primary.Program.Disassemble())
 	case *doRun:
-		inputs := randomInputs(res, *seed)
+		inputs := res.Kernel.DeterministicInputs(*seed)
 		outputs, sres, err := res.Run(inputs, nil)
 		if err != nil {
 			fatal(err)
@@ -302,26 +302,11 @@ func main() {
 		fmt.Printf("simulated: %d cycles, %d instructions\n", sres.Cycles, sres.Instrs)
 	default:
 		if *out == "" {
-			fmt.Print(res.C)
-		} else if err := os.WriteFile(*out, []byte(res.C), 0o644); err != nil {
+			fmt.Print(primary.C)
+		} else if err := os.WriteFile(*out, []byte(primary.C), 0o644); err != nil {
 			fatal(err)
 		}
 	}
-}
-
-// randomInputs fills every kernel input with reproducible random tenths in
-// [-10, 10), the -run / -report simulation harness.
-func randomInputs(res *diospyros.Result, seed int64) map[string][]float64 {
-	r := rand.New(rand.NewSource(seed))
-	inputs := map[string][]float64{}
-	for _, d := range res.Kernel.Inputs {
-		s := make([]float64, d.Len())
-		for i := range s {
-			s[i] = float64(int(r.Float64()*200-100)) / 10
-		}
-		inputs[d.Name] = s
-	}
-	return inputs
 }
 
 func fatal(err error) {

@@ -59,7 +59,7 @@ func TestJournalCostSamplesMatchExtraction(t *testing.T) {
 				i, ev.Iteration, ev.Cost, want[i].iteration, want[i].cost)
 		}
 	}
-	if last := costs[len(costs)-1].Cost; last != res.Cost {
-		t.Errorf("last sampled cost %v, extracted cost %v", last, res.Cost)
+	if last := costs[len(costs)-1].Cost; last != res.Primary().Cost {
+		t.Errorf("last sampled cost %v, extracted cost %v", last, res.Primary().Cost)
 	}
 }

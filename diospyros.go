@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"diospyros/internal/codegen"
 	"diospyros/internal/cost"
 	"diospyros/internal/egraph"
 	"diospyros/internal/expr"
@@ -42,17 +43,15 @@ import (
 // 10M-node limit (the paper's §5.2 settings), vector rules enabled, full
 // associativity/commutativity disabled.
 type Options struct {
-	// Target names a single machine target from the isa registry
+	// Targets names the machine targets from the isa registry
 	// ("fg3lite-4", "fg3lite-8", "scalar", or any width via "fg3lite-<w>").
-	// Empty means the default target (isa.Default, fg3lite-4). Ignored when
-	// Targets is set.
-	Target string
-	// Targets requests multi-target compilation: one equality-saturation
-	// search whose e-graph holds decompositions for every requested vector
-	// width simultaneously, then one extraction per target under that
-	// target's cost model. Result.Targets carries the per-target programs
-	// (and simulated cycle counts when more than one target is requested).
-	// The first entry is the primary target that fills Result.Program/C.
+	// Empty means the default target (isa.Default, fg3lite-4). More than one
+	// requests multi-target compilation: one equality-saturation search
+	// whose e-graph holds decompositions for every requested vector width
+	// simultaneously, then one extraction per target under that target's
+	// cost model. Result.Targets carries the per-target programs (and
+	// simulated cycle counts when more than one target is requested). The
+	// first entry is the primary target (Result.Primary).
 	Targets []string
 	// Timeout bounds equality saturation wall-clock time. 0 means 180 s.
 	// Negative means no timeout.
@@ -153,23 +152,25 @@ type TargetResult struct {
 	Validated bool         // set when Options.Validate passed for this target
 }
 
-// Result is a compiled kernel and its artifacts. The top-level Optimized /
-// VIR / Program / C fields describe the primary (first requested) target;
-// Targets holds every requested target, in request order.
+// Result is a compiled kernel and its artifacts. Targets holds every
+// requested target's program, in request order; Primary is the first.
 type Result struct {
-	Kernel    *kernel.Lifted // the lifted specification
-	Optimized *expr.Expr     // extracted DSL program (primary target)
-	VIR       *vir.Program   // optimized low-level IR (primary target)
-	Program   *isa.Program   // assembly (nil when the primary target has no backend)
-	C         string         // C-with-intrinsics text (primary target)
-	Targets   []TargetResult // per-target artifacts, request order
+	Kernel  *kernel.Lifted // the lifted specification
+	Targets []TargetResult // per-target artifacts, request order; empty on failure
 
 	Saturation egraph.Report    // equality-saturation statistics (Table 1)
 	Trace      *telemetry.Trace // per-stage spans and per-iteration gauges
-	Cost       float64          // abstract cost of the extracted program
 	Compile    time.Duration    // end-to-end compile time (Table 1)
 	AllocBytes uint64           // heap allocated during compilation (Table 1 memory proxy)
-	Validated  bool             // set when Options.Validate passed
+}
+
+// Primary returns the primary target's artifacts — the first requested
+// target — or nil when the compile failed before producing any.
+func (r *Result) Primary() *TargetResult {
+	if len(r.Targets) == 0 {
+		return nil
+	}
+	return &r.Targets[0]
 }
 
 // Lift lifts a kernel written in the imperative text language.
@@ -216,7 +217,7 @@ func CompileContext(ctx context.Context, l *kernel.Lifted, opts Options) (*Resul
 // callers — the serve layer in particular — can report and aggregate
 // telemetry for failed and aborted compiles too.
 func compile(ctx context.Context, st *compileState) (*Result, error) {
-	targets, err := resolveTargets(st.opts)
+	targets, err := ResolveTargets(st.opts.Targets)
 	if err != nil {
 		return nil, fmt.Errorf("diospyros: %w", err)
 	}
@@ -241,8 +242,8 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 		// The search flight record attaches even to failed and aborted
 		// compiles — explaining what the watchdog killed is its job.
 		rec.SetSearch(searchTraceFromJournal(st.opts.Journal))
-		if st.extractor != nil {
-			rec.SetExtraction(extractionTrace(st.extractor, st.root))
+		if st.extractors != nil {
+			rec.SetExtraction(extractionTrace(st.extractors[0], st.root))
 		}
 	}
 	if st.report.Reason != "" {
@@ -250,8 +251,8 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 		rec.Count("saturate.nodes", int64(st.report.Nodes))
 		rec.Count("saturate.classes", int64(st.report.Classes))
 	}
-	if st.ir != nil {
-		rec.Count("vir.instrs", int64(len(st.ir.Instrs)))
+	if len(st.perTarget) > 0 && st.perTarget[0].VIR != nil {
+		rec.Count("vir.instrs", int64(len(st.perTarget[0].VIR.Instrs)))
 	}
 	if runErr != nil {
 		// A watchdog abort arrives as the context-cancellation cause; name
@@ -271,7 +272,7 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 		}, fmt.Errorf("diospyros: %w", runErr)
 	}
 	if st.opts.Explain {
-		rec.SetExplanation(buildExplanation(st.g, st.extractor, st.root, st.ir))
+		rec.SetExplanation(buildExplanation(st.g, st.extractors[0], st.root, st.perTarget[0].VIR))
 		pn, pu := st.g.ProvenanceStats()
 		rec.Count("provenance.nodes", int64(pn))
 		rec.Count("provenance.unions", int64(pu))
@@ -280,28 +281,19 @@ func compile(ctx context.Context, st *compileState) (*Result, error) {
 
 	return &Result{
 		Kernel:     st.lifted,
-		Optimized:  st.optimized,
-		VIR:        st.ir,
-		Program:    st.program,
-		C:          st.cText,
 		Targets:    st.perTarget,
 		Saturation: st.report,
 		Trace:      trace,
-		Cost:       st.extractor.Cost(st.root),
 		Compile:    trace.Duration,
 		AllocBytes: trace.AllocBytes,
-		Validated:  st.validated,
 	}, nil
 }
 
-// resolveTargets materializes the requested target list from the options,
-// in request order, deduplicated by name. Precedence: Targets, then Target,
-// then the default target.
-func resolveTargets(opts Options) ([]*isa.Target, error) {
-	names := opts.Targets
-	if len(names) == 0 && opts.Target != "" {
-		names = []string{opts.Target}
-	}
+// ResolveTargets materializes a requested target list, in request order,
+// deduplicated by registry name; no names means the default target. It is
+// the list a compile with Options.Targets = names produces Result.Targets
+// for, so callers can key on it (the serve cache does).
+func ResolveTargets(names []string) ([]*isa.Target, error) {
 	if len(names) == 0 {
 		return []*isa.Target{isa.Default()}, nil
 	}
@@ -344,14 +336,11 @@ func (e *NoBackendError) Unwrap() error { return ErrNoBackend }
 
 // Run executes the primary target's compiled program on the simulator.
 func (r *Result) Run(inputs map[string][]float64, funcs map[string]func([]float64) float64) (map[string][]float64, *sim.Result, error) {
-	if r.Program == nil {
-		name := isa.Default().Name
-		if len(r.Targets) > 0 {
-			name = r.Targets[0].Target
-		}
-		return nil, nil, &NoBackendError{Target: name}
+	p := r.Primary()
+	if p == nil {
+		return nil, nil, errors.New("diospyros: result has no compiled targets")
 	}
-	return codegenExecute(r.Program, inputs, r.Kernel.Inputs, r.Kernel.Outputs, funcs)
+	return r.RunTarget(p.Target, inputs, funcs)
 }
 
 // RunTarget executes the named target's compiled program on the simulator.
@@ -364,7 +353,7 @@ func (r *Result) RunTarget(target string, inputs map[string][]float64, funcs map
 		if tr.Program == nil {
 			return nil, nil, &NoBackendError{Target: target}
 		}
-		return codegenExecute(tr.Program, inputs, r.Kernel.Inputs, r.Kernel.Outputs, funcs)
+		return codegen.Execute(tr.Program, inputs, r.Kernel.Inputs, r.Kernel.Outputs, funcs)
 	}
 	return nil, nil, fmt.Errorf("diospyros: result has no target %q", target)
 }

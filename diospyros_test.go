@@ -84,11 +84,11 @@ kernel vadd(a[8], b[8]) -> (c[8]) {
 		t.Errorf("vadd did not saturate: %+v", res.Saturation)
 	}
 	// Fully vectorized: 2 chunks, each one VAdd; no scalar arithmetic.
-	if !strings.Contains(res.C, "PDX_ADD_MXF32") {
-		t.Errorf("C output missing vector add:\n%s", res.C)
+	if !strings.Contains(res.Primary().C, "PDX_ADD_MXF32") {
+		t.Errorf("C output missing vector add:\n%s", res.Primary().C)
 	}
-	if strings.Contains(res.C, " + ") && strings.Contains(res.C, "float s_") {
-		t.Errorf("C output contains scalar adds:\n%s", res.C)
+	if strings.Contains(res.Primary().C, " + ") && strings.Contains(res.Primary().C, "float s_") {
+		t.Errorf("C output contains scalar adds:\n%s", res.Primary().C)
 	}
 	checkCompiled(t, res.Kernel, testOpts())
 }
@@ -98,7 +98,7 @@ func TestCompileMatMulSizes(t *testing.T) {
 		l := kernels.MatMul(sz[0], sz[1], sz[2])
 		res := checkCompiled(t, l, testOpts())
 		// Vectorization should remove all scalar multiplies.
-		if strings.Contains(res.C, "float s_") && strings.Contains(res.C, " * ") {
+		if strings.Contains(res.Primary().C, "float s_") && strings.Contains(res.Primary().C, " * ") {
 			t.Errorf("%s: scalar multiplies remain in generated code", l.Name)
 		}
 	}
@@ -114,7 +114,7 @@ func TestCompileConv2DSizes(t *testing.T) {
 func TestCompileQProd(t *testing.T) {
 	l := kernels.QProd()
 	res := checkCompiled(t, l, testOpts())
-	if res.Program == nil {
+	if res.Primary().Program == nil {
 		t.Fatal("no program")
 	}
 }
@@ -142,7 +142,7 @@ func TestCompileWithValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Validated {
+	if !res.Primary().Validated {
 		t.Fatal("Validated flag not set")
 	}
 }
@@ -153,7 +153,7 @@ func TestCompileScalarAblation(t *testing.T) {
 	opts := testOpts()
 	opts.DisableVectorRules = true
 	res := checkCompiled(t, l, opts)
-	if strings.Contains(res.C, "PDX_") && strings.Contains(res.C, "MAC") {
+	if strings.Contains(res.Primary().C, "PDX_") && strings.Contains(res.Primary().C, "MAC") {
 		t.Errorf("scalar ablation produced vector code")
 	}
 	// The vectorized version should simulate faster.
@@ -189,8 +189,8 @@ kernel recip4(a[4]) -> (o[4]) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.C, "recip") {
-		t.Fatalf("C output missing recip call:\n%s", res.C)
+	if !strings.Contains(res.Primary().C, "recip") {
+		t.Fatalf("C output missing recip call:\n%s", res.Primary().C)
 	}
 	funcs := map[string]func([]float64) float64{
 		"recip": func(args []float64) float64 { return 1 / args[0] },
@@ -207,8 +207,8 @@ kernel recip4(a[4]) -> (o[4]) {
 		}
 	}
 	// The vectorizer should have turned it into a single vector call.
-	if !strings.Contains(res.C, "recip_v(") {
-		t.Errorf("recip not vectorized:\n%s", res.C)
+	if !strings.Contains(res.Primary().C, "recip_v(") {
+		t.Errorf("recip not vectorized:\n%s", res.Primary().C)
 	}
 }
 
@@ -221,8 +221,8 @@ func TestCompileReportsStats(t *testing.T) {
 	if res.Compile <= 0 || res.AllocBytes == 0 || res.Saturation.Nodes == 0 {
 		t.Fatalf("missing stats: %+v", res)
 	}
-	if res.Cost <= 0 {
-		t.Fatalf("cost = %g", res.Cost)
+	if res.Primary().Cost <= 0 {
+		t.Fatalf("cost = %g", res.Primary().Cost)
 	}
 }
 

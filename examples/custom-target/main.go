@@ -55,9 +55,9 @@ func main() {
 	}
 
 	fmt.Println("=== stock target: vector divides ===")
-	printArith(stock.C)
+	printArith(stock.Primary().C)
 	fmt.Println("\n=== custom target: the search rewrote division into recip ===")
-	printArith(custom.C)
+	printArith(custom.Primary().C)
 
 	// Run both on the simulator; the custom target supplies recip's
 	// semantics (the vendor toolchain's role).

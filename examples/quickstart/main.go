@@ -33,12 +33,12 @@ func main() {
 	}
 
 	fmt.Println("=== generated C with vector intrinsics ===")
-	fmt.Println(res.C)
+	fmt.Println(res.Primary().C)
 
 	fmt.Println("=== compilation statistics ===")
 	fmt.Printf("saturation: %d e-nodes, %d iterations, stopped: %s\n",
 		res.Saturation.Nodes, res.Saturation.Iterations, res.Saturation.Reason)
-	fmt.Printf("extracted cost: %.1f\n\n", res.Cost)
+	fmt.Printf("extracted cost: %.1f\n\n", res.Primary().Cost)
 
 	// Run the compiled kernel on the FG3-lite simulator.
 	inputs := map[string][]float64{

@@ -111,7 +111,7 @@ func Forensics(opt FOptions, baseline []byte, ids []string) ([]string, error) {
 			return written, fmt.Errorf("forensics: %s: %w", id, err)
 		}
 		cur := diff.Input{Label: "current", Kernel: id, Trace: res.Trace}
-		if res.Program != nil {
+		if res.Primary().Program != nil {
 			if _, sres, err := res.Run(k.Inputs(rand.New(rand.NewSource(1))), nil); err == nil {
 				cur.Profile = sres.Profile
 				cur.Cycles = sres.Cycles

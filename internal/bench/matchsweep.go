@@ -89,9 +89,9 @@ func MatchSweep(opt MSOptions) ([]MSRow, error) {
 					best = d
 				}
 				if baseNodes < 0 {
-					baseNodes, baseC = res.Saturation.Nodes, res.C
+					baseNodes, baseC = res.Saturation.Nodes, res.Primary().C
 					row.Nodes = baseNodes
-				} else if res.Saturation.Nodes != baseNodes || res.C != baseC {
+				} else if res.Saturation.Nodes != baseNodes || res.Primary().C != baseC {
 					return nil, fmt.Errorf("%s: workers=%d diverged from baseline (determinism violation)", k.ID, w)
 				}
 			}

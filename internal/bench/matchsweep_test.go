@@ -51,11 +51,11 @@ func TestMatchWorkerParityAcrossSuite(t *testing.T) {
 	for _, k := range Suite() {
 		serial, jrSerial := compileAt(k, 1)
 		parallel, jrParallel := compileAt(k, 8)
-		if serial.C != parallel.C {
+		if serial.Primary().C != parallel.Primary().C {
 			t.Errorf("%s: C output differs between workers=1 and workers=8", k.ID)
 		}
-		if serial.Cost != parallel.Cost {
-			t.Errorf("%s: cost %v vs %v", k.ID, serial.Cost, parallel.Cost)
+		if serial.Primary().Cost != parallel.Primary().Cost {
+			t.Errorf("%s: cost %v vs %v", k.ID, serial.Primary().Cost, parallel.Primary().Cost)
 		}
 		s, p := serial.Saturation, parallel.Saturation
 		if s.Nodes != p.Nodes || s.Classes != p.Classes ||

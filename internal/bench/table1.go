@@ -71,7 +71,7 @@ func Table1(opt T1Options) ([]T1Row, error) {
 		}
 		var cycles int64
 		var profile *sim.Profile
-		if res.Program != nil {
+		if res.Primary().Program != nil {
 			r := rand.New(rand.NewSource(1))
 			_, sres, err := res.Run(k.Inputs(r), nil)
 			if err != nil {
@@ -93,7 +93,7 @@ func Table1(opt T1Options) ([]T1Row, error) {
 			Iterations: len(tr.Iterations),
 			Reason:     egraph.StopReason(tr.StopReason),
 			TimedOut:   !tr.Saturated(),
-			Validated:  res.Validated,
+			Validated:  res.Primary().Validated,
 			Trace:      tr,
 			Cycles:     cycles,
 			Profile:    profile,

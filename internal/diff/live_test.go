@@ -1,7 +1,6 @@
 package diff_test
 
 import (
-	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -37,17 +36,8 @@ func compileMM(t *testing.T, opts diospyros.Options, ringCap int) (diff.Input, *
 		t.Fatal(err)
 	}
 	in := diff.Input{Label: "live", Kernel: res.Kernel.Name, Trace: res.Trace}
-	if res.Program != nil {
-		r := rand.New(rand.NewSource(1))
-		inputs := map[string][]float64{}
-		for _, d := range res.Kernel.Inputs {
-			s := make([]float64, d.Len())
-			for i := range s {
-				s[i] = float64(int(r.Float64()*200-100)) / 10
-			}
-			inputs[d.Name] = s
-		}
-		if _, sres, err := res.Run(inputs, nil); err == nil {
+	if res.Primary().Program != nil {
+		if _, sres, err := res.Run(res.Kernel.DeterministicInputs(1), nil); err == nil {
 			in.Profile = sres.Profile
 			in.Cycles = sres.Cycles
 		}

@@ -36,7 +36,7 @@ func TestSelfDiffEmptyAcrossSuite(t *testing.T) {
 			Kernel: k.ID,
 			Trace:  res.Trace,
 		}
-		if res.Program != nil {
+		if res.Primary().Program != nil {
 			if _, sres, err := res.Run(k.Inputs(rand.New(rand.NewSource(1))), nil); err == nil {
 				in.Profile = sres.Profile
 				in.Cycles = sres.Cycles

@@ -23,13 +23,6 @@ import (
 	"strings"
 )
 
-// Width is the default vector width (lanes per vector register), matching
-// the paper's 4-wide Fusion G3. It is only a default: programs carry a
-// runtime Target descriptor whose Width may differ (Program.VecWidth), and
-// only the fixed-width hand-written baselines (kcc's default layout, the
-// nature vendor library) still assume it.
-const Width = 4
-
 // Opcode enumerates FG3-lite instructions.
 type Opcode uint8
 
@@ -74,11 +67,11 @@ const (
 	CallFn // uninterpreted scalar function: f[Dst] = fn[Sym](f args via FArgs)
 
 	// Vector: v registers.
-	VConst   // v[Dst] = Vals (Width floats)
+	VConst   // v[Dst] = Vals (VecWidth floats)
 	VMov     // v[Dst] = v[A]
 	VBcast   // v[Dst] = splat f[A]
-	VLoad    // v[Dst] = mem[i[A]+IImm : +Width] (aligned or not: unit cost)
-	VStore   // mem[i[A]+IImm : +Width] = v[B]
+	VLoad    // v[Dst] = mem[i[A]+IImm : +VecWidth] (aligned or not: unit cost)
+	VStore   // mem[i[A]+IImm : +VecWidth] = v[B]
 	VStoreN  // first IImm2 lanes of v[B] stored at mem[i[A]+IImm]
 	VInsert  // v[Dst][IImm] = f[A]
 	VExtract // f[Dst] = v[A][IImm]

@@ -167,3 +167,22 @@ func TestOpHistogram(t *testing.T) {
 		t.Fatalf("histogram = %v", h)
 	}
 }
+
+func TestLookupTargetNames(t *testing.T) {
+	for name, want := range map[string]int{"fg3lite-4": 4, "fg3lite-8": 8, "scalar": 1, "fg3lite-16": 16} {
+		tg, err := LookupTarget(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if tg.Name != name || tg.Width != want {
+			t.Errorf("%s resolved to %s/%d, want %s/%d", name, tg.Name, tg.Width, name, want)
+		}
+	}
+	// A non-canonical spelling of a width would otherwise resolve to a
+	// generic machine sharing the registered target's name.
+	for _, name := range []string{"fg3lite-08", "fg3lite-+8", "fg3lite-1", "fg3lite-x", "nope"} {
+		if tg, err := LookupTarget(name); err == nil {
+			t.Errorf("%s resolved to %s", name, tg.Name)
+		}
+	}
+}

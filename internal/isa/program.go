@@ -19,12 +19,13 @@ type Program struct {
 	Target *Target
 }
 
-// VecWidth returns the vector-register width the program executes with.
+// VecWidth returns the vector-register width the program executes with:
+// its Target's, or the default target's for a program built without one.
 func (p *Program) VecWidth() int {
 	if p.Target != nil {
 		return p.Target.Width
 	}
-	return Width
+	return Default().Width
 }
 
 // Layout assigns flat memory regions to named arrays.

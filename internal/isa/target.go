@@ -109,8 +109,11 @@ func Default() *Target {
 }
 
 // LookupTarget resolves a target name. Registered names win; otherwise
-// "fg3lite-<w>" for any width ≥ 2 resolves to a generic FG3-lite machine
-// of that width with default latencies.
+// "fg3lite-<w>" for any width ≥ 2, spelled in canonical decimal, resolves
+// to a generic FG3-lite machine of that width with default latencies.
+// Other spellings ("fg3lite-08") are rejected, so a resolved target's Name
+// always names the request it came from and two different machines never
+// share a name.
 func LookupTarget(name string) (*Target, error) {
 	registryMu.RLock()
 	t, ok := registry[name]
@@ -120,7 +123,7 @@ func LookupTarget(name string) (*Target, error) {
 	}
 	if w, ok := strings.CutPrefix(name, "fg3lite-"); ok {
 		n, err := strconv.Atoi(w)
-		if err == nil && n >= 2 {
+		if err == nil && n >= 2 && strconv.Itoa(n) == w {
 			return NewFG3Lite(n), nil
 		}
 		if err == nil && n == 1 {

@@ -12,6 +12,7 @@ package kernel
 
 import (
 	"fmt"
+	"math/rand"
 
 	"diospyros/internal/expr"
 )
@@ -53,6 +54,24 @@ func (l *Lifted) InputLen() int {
 		n += d.Len()
 	}
 	return n
+}
+
+// DeterministicInputs fills every input array with reproducible random
+// tenths in [-10, 10) drawn from seed. It is the one simulation harness:
+// multi-target compiles record per-target cycles on DeterministicInputs(1),
+// and the CLIs' -run and -report simulate on DeterministicInputs(seed)
+// (seed 1 by default), so their cycle counts agree.
+func (l *Lifted) DeterministicInputs(seed int64) map[string][]float64 {
+	r := rand.New(rand.NewSource(seed))
+	inputs := make(map[string][]float64, len(l.Inputs))
+	for _, d := range l.Inputs {
+		s := make([]float64, d.Len())
+		for i := range s {
+			s[i] = float64(int(r.Float64()*200-100)) / 10
+		}
+		inputs[d.Name] = s
+	}
+	return inputs
 }
 
 // Builder accumulates a kernel during symbolic evaluation.

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"testing"
 
 	"diospyros/internal/expr"
@@ -89,5 +90,32 @@ func TestScalarHelpers(t *testing.T) {
 func TestArrayDeclLen(t *testing.T) {
 	if (ArrayDecl{Name: "x", Rows: 3, Cols: 4}).Len() != 12 {
 		t.Fatal("Len wrong")
+	}
+}
+
+func TestDeterministicInputs(t *testing.T) {
+	b := NewBuilder("det")
+	x := b.Input("x", 2, 3)
+	y := b.InputVec("y", 5)
+	o := b.OutputVec("o", 1)
+	o.SetVec(0, Add(x.At(0, 0), y.AtVec(0)))
+	l := b.Lift()
+
+	a, c := l.DeterministicInputs(1), l.DeterministicInputs(1)
+	if len(a) != 2 || len(a["x"]) != 6 || len(a["y"]) != 5 {
+		t.Fatalf("shapes: x %d, y %d", len(a["x"]), len(a["y"]))
+	}
+	for name, vals := range a {
+		for i, v := range vals {
+			if v != c[name][i] {
+				t.Fatalf("%s[%d]: %v then %v for the same seed", name, i, v, c[name][i])
+			}
+			if v < -10 || v >= 10 || math.Abs(v*10-math.Round(v*10)) > 1e-9 {
+				t.Errorf("%s[%d] = %v, want a tenth in [-10, 10)", name, i, v)
+			}
+		}
+	}
+	if d := l.DeterministicInputs(2); d["x"][0] == a["x"][0] && d["y"][0] == a["y"][0] {
+		t.Error("different seeds gave the same inputs")
 	}
 }

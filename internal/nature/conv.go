@@ -29,15 +29,15 @@ func (a *asm) forLoopR(loReg, hiReg, step int, body func(iv int)) {
 // per tap, exactly the overhead Figure 5 shows on filter sizes near the
 // vector width.
 func Conv2D(maxIR, maxIC, maxFR, maxFC int) *Program {
-	pad := func(n int) int { return (n + isa.Width - 1) / isa.Width * isa.Width }
+	pad := func(n int) int { return (n + lanes - 1) / lanes * lanes }
 	maxOR, maxOC := maxIR+maxFR-1, maxIC+maxFC-1
 	lay := isa.NewLayout()
-	// Extra Width slack allows harmless unaligned over-reads at row ends;
+	// Extra one-vector slack allows harmless unaligned over-reads at row ends;
 	// masked stores keep writes exact.
-	lay.Add("i", pad(maxIR*maxIC)+isa.Width)
-	lay.Add("f", pad(maxFR*maxFC)+isa.Width)
-	lay.Add("o", pad(maxOR*maxOC)+isa.Width)
-	lay.Add(ParamsRegion, isa.Width)
+	lay.Add("i", pad(maxIR*maxIC)+lanes)
+	lay.Add("f", pad(maxFR*maxFC)+lanes)
+	lay.Add("o", pad(maxOR*maxOC)+lanes)
+	lay.Add(ParamsRegion, lanes)
 	b := isa.NewBuilder("nature_conv2d", lay)
 	a := &asm{b: b}
 
@@ -93,7 +93,7 @@ func Conv2D(maxIR, maxIC, maxFR, maxFC int) *Program {
 				a.emit(isa.Instr{Op: isa.IAdd, Dst: rowO, A: rowO, B: oBase})
 				_ = zero
 
-				a.forLoopR(fCT, colHi, isa.Width, func(oCol int) {
+				a.forLoopR(fCT, colHi, lanes, func(oCol int) {
 					iAddr := a.b.IReg()
 					a.emit(isa.Instr{Op: isa.IAdd, Dst: iAddr, A: rowI, B: oCol})
 					vi := a.b.VReg()

@@ -15,6 +15,12 @@ import (
 	"diospyros/internal/sim"
 )
 
+// lanes is the vector width the library is hand-written for: like the
+// vendor library it stands in for, every routine is unrolled, padded and
+// tail-masked for the 4-wide default machine (fg3lite-4), and its programs
+// carry no Target, so they execute at that width.
+const lanes = 4
+
 // ParamsRegion is the reserved memory region holding runtime size
 // parameters (as float-encoded integers, loaded into integer registers by
 // a small prologue).
@@ -68,19 +74,19 @@ func (a *asm) forLoopStep(lo int, hiReg, step int, body func(iv int)) {
 	a.b.Label(end)
 }
 
-// storeTail stores the first (hi-col) lanes of v (at most Width) to
+// storeTail stores the first (hi-col) lanes of v (at most all of them) to
 // addrReg, handling the runtime tail with branches, as generic vector code
-// must. colReg+Width <= hi means a full store.
+// must. colReg+lanes <= hi means a full store.
 func (a *asm) storeTail(addrReg, vreg, colReg, hiReg int) {
 	full := a.b.FreshLabel("full")
 	done := a.b.FreshLabel("done")
 	// rem = hi - col
 	rem := a.b.IReg()
 	a.emit(isa.Instr{Op: isa.ISub, Dst: rem, A: hiReg, B: colReg})
-	four := a.iconst(isa.Width)
+	four := a.iconst(lanes)
 	a.emit(isa.Instr{Op: isa.BrGE, A: rem, B: four, Target: full})
-	// Tail: branch ladder over 1..Width-1 lanes.
-	for n := 1; n < isa.Width; n++ {
+	// Tail: branch ladder over 1..lanes-1 lanes.
+	for n := 1; n < lanes; n++ {
 		next := a.b.FreshLabel("tail")
 		nval := a.iconst(n)
 		a.emit(isa.Instr{Op: isa.BrNE, A: rem, B: nval, Target: next})
@@ -101,12 +107,12 @@ func (a *asm) storeTail(addrReg, vreg, colReg, hiReg int) {
 //
 // Layout regions: a (aCap), b (bCap), c (cCap), params (3: m, n, p).
 func MatMul(maxM, maxN, maxP int) *Program {
-	pad := func(n int) int { return (n + isa.Width - 1) / isa.Width * isa.Width }
+	pad := func(n int) int { return (n + lanes - 1) / lanes * lanes }
 	lay := isa.NewLayout()
 	lay.Add("a", pad(maxM*maxN))
 	lay.Add("b", pad(maxN*maxP))
 	lay.Add("c", pad(maxM*maxP))
-	lay.Add(ParamsRegion, isa.Width)
+	lay.Add(ParamsRegion, lanes)
 	b := isa.NewBuilder("nature_matmul", lay)
 	a := &asm{b: b}
 
@@ -126,9 +132,9 @@ func MatMul(maxM, maxN, maxP int) *Program {
 		a.emit(isa.Instr{Op: isa.IMul, Dst: rowC, A: i, B: p})
 		a.emit(isa.Instr{Op: isa.IAdd, Dst: rowC, A: rowC, B: cBase})
 		// for j in 0..p step 4
-		a.forLoopStep(0, p, isa.Width, func(j int) {
+		a.forLoopStep(0, p, lanes, func(j int) {
 			acc := a.b.VReg()
-			a.emit(isa.Instr{Op: isa.VConst, Dst: acc, Vals: make([]float64, isa.Width)})
+			a.emit(isa.Instr{Op: isa.VConst, Dst: acc, Vals: make([]float64, lanes)})
 			// for k in 0..n: acc += splat(A[i][k]) * B[k][j..j+4]
 			a.forLoop(0, n, func(k int) {
 				aAddr := a.b.IReg()
@@ -180,7 +186,7 @@ func Run(p *Program, inputs map[string][]float64, sizes []int) (map[string][]flo
 		copy(mem[reg.Base:], data)
 	}
 	pb := p.ISA.Layout.Base(ParamsRegion)
-	if len(sizes) > isa.Width {
+	if len(sizes) > lanes {
 		return nil, nil, fmt.Errorf("nature: too many size parameters")
 	}
 	for i, s := range sizes {

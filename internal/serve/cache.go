@@ -154,10 +154,7 @@ func (c *compileCache) sizeBytes() int64 {
 // structs themselves. An estimate is fine — the budget bounds order of
 // magnitude, not bytes.
 func resultSize(res *diospyros.Result) int64 {
-	size := int64(len(res.C)) + 1024
-	if res.Program != nil {
-		size += int64(len(res.Program.Disassemble()))
-	}
+	size := int64(1024)
 	for i := range res.Targets {
 		tr := &res.Targets[i]
 		size += int64(len(tr.C)) + 256
@@ -212,16 +209,22 @@ func normalizeSource(src string) string {
 // canonicalOptions renders every output-affecting Options field in a fixed
 // order. MatchWorkers is deliberately absent: DESIGN.md §9's determinism
 // contract makes its output identical at every setting, so requests that
-// differ only in worker count share an entry. Map iteration order is
-// neutralized by sorting OpCost keys.
+// differ only in worker count share an entry. Targets render as the list
+// the compiler resolves them to, so an empty list, the default target by
+// name and a repeated name share an entry too; a list that does not
+// resolve renders raw — its compile fails and is never stored. Map
+// iteration order is neutralized by sorting OpCost keys.
 func canonicalOptions(o diospyros.Options) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "timeout=%d;nodes=%d;iters=%d;novec=%t;ac=%t;backoff=%t;validate=%t;explain=%t;",
 		int64(o.Timeout), o.NodeLimit, o.MaxIterations,
 		o.DisableVectorRules, o.EnableAC, o.UseBackoff, o.Validate, o.Explain)
-	fmt.Fprintf(&b, "target=%q;", o.Target)
-	for _, t := range o.Targets {
-		fmt.Fprintf(&b, "targets=%q;", t)
+	targets, err := diospyros.ResolveTargets(o.Targets)
+	if err != nil {
+		fmt.Fprintf(&b, "unresolved=%q;", o.Targets)
+	}
+	for _, t := range targets {
+		fmt.Fprintf(&b, "target=%q;", t.Name)
 	}
 	for _, r := range o.ExtraRules {
 		fmt.Fprintf(&b, "rule=%q|%q|%q;", r.Name, r.LHS, r.RHS)

@@ -54,9 +54,9 @@ func TestCanonicalOptionsOrderIndependent(t *testing.T) {
 // fakeResult builds a Result whose resultSize is dominated by n bytes of C.
 func fakeResult(n int) *diospyros.Result {
 	return &diospyros.Result{
-		Kernel: &kernel.Lifted{Name: "stub"},
-		C:      strings.Repeat("x", n),
-		Trace:  &telemetry.Trace{},
+		Kernel:  &kernel.Lifted{Name: "stub"},
+		Targets: []diospyros.TargetResult{{Target: "fg3lite-4", Width: 4, C: strings.Repeat("x", n)}},
+		Trace:   &telemetry.Trace{},
 	}
 }
 
@@ -143,6 +143,71 @@ func TestCacheHitOnRepeatCompile(t *testing.T) {
 	resp3, _ := postCompile(t, ts.URL, strings.ReplaceAll(dotprod, "\n", "\r\n"), "text/plain")
 	if got := resp3.Header.Get("X-Dios-Cache"); got != "hit" {
 		t.Errorf("CRLF re-encoding missed the cache: X-Dios-Cache = %q", got)
+	}
+}
+
+// TestCacheKeyResolvedTargets: the cache keys on the target list the
+// compiler resolves, not on its spelling. No targets, the default target by
+// name and a repeated name compile identically, so they share one entry;
+// a different target set keeps its own, and an unknown name still fails
+// with the resolver's error.
+func TestCacheKeyResolvedTargets(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for i, c := range []struct {
+		targets []string
+		cache   string
+	}{
+		{nil, "miss"},
+		{[]string{"fg3lite-4"}, "hit"},
+		{[]string{"fg3lite-4", "fg3lite-4"}, "hit"},
+		{[]string{"fg3lite-4", "fg3lite-8"}, "miss"},
+		{[]string{"fg3lite-4", "fg3lite-8", "fg3lite-4"}, "hit"},
+	} {
+		body, _ := json.Marshal(CompileRequest{Source: dotprod, Targets: c.targets})
+		resp, cr := postCompile(t, ts.URL, string(body), "application/json")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d %v: status %d (%s)", i, c.targets, resp.StatusCode, cr.Error)
+		}
+		if got := resp.Header.Get("X-Dios-Cache"); got != c.cache {
+			t.Errorf("%d %v: X-Dios-Cache = %q, want %s", i, c.targets, got, c.cache)
+		}
+	}
+	metrics := scrape(t, ts.URL)
+	for _, want := range []string{
+		"diospyros_serve_cache_hits_total 3",
+		"diospyros_serve_cache_misses_total 2",
+	} {
+		if !strings.Contains(metrics, want+"\n") {
+			t.Errorf("missing %q in metrics", want)
+		}
+	}
+
+	body, _ := json.Marshal(CompileRequest{Source: dotprod, Targets: []string{"no-such-machine"}})
+	resp, cr := postCompile(t, ts.URL, string(body), "application/json")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown target: status %d, want 400", resp.StatusCode)
+	}
+	if want := `diospyros: isa: unknown target "no-such-machine"`; !strings.HasPrefix(cr.Error, want) {
+		t.Errorf("unknown target error = %q, want prefix %q", cr.Error, want)
+	}
+}
+
+// TestResultSizeChargesEachTargetOnce: a single-target entry's charge
+// counts its C and assembly once — the primary target has one home.
+func TestResultSizeChargesEachTargetOnce(t *testing.T) {
+	res, err := diospyros.CompileSource(dotprod, diospyros.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := res.Primary()
+	if tr.C == "" || tr.Program == nil {
+		t.Fatal("compile produced no C or assembly")
+	}
+	artifacts := int64(len(tr.C) + len(tr.Program.Disassemble()))
+	full := resultSize(res)
+	tr.C, tr.Program = "", nil
+	if got := full - resultSize(res); got != artifacts {
+		t.Errorf("C and assembly charged %d bytes, want %d (once)", got, artifacts)
 	}
 }
 

@@ -544,13 +544,13 @@ func (s *Server) successResponse(r *http.Request, id string, res *diospyros.Resu
 	resp := &CompileResponse{
 		RequestID: id,
 		Kernel:    res.Kernel.Name,
-		C:         res.C,
-		Cost:      res.Cost,
-		Validated: res.Validated,
 		Trace:     res.Trace,
 	}
-	if res.Program != nil {
-		resp.Assembly = res.Program.Disassemble()
+	if p := res.Primary(); p != nil {
+		resp.C, resp.Cost, resp.Validated = p.C, p.Cost, p.Validated
+		if p.Program != nil {
+			resp.Assembly = p.Program.Disassemble()
+		}
 	}
 	if len(res.Targets) > 1 {
 		for _, tr := range res.Targets {
@@ -569,7 +569,7 @@ func (s *Server) successResponse(r *http.Request, id string, res *diospyros.Resu
 		}
 	}
 	telemetry.LoggerFrom(r.Context()).Info("compile done",
-		"kernel", resp.Kernel, "cost", res.Cost,
+		"kernel", resp.Kernel, "cost", resp.Cost,
 		"nodes", res.Saturation.Nodes, "stop", string(res.Saturation.Reason))
 	return resp
 }

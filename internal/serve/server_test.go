@@ -426,15 +426,19 @@ func TestMultiTargetCompile(t *testing.T) {
 		t.Errorf("single-target response has %d targets, want none", len(cr3.Targets))
 	}
 
-	// And the key derivation itself: target set membership and order are
-	// part of the content address.
+	// And the key derivation itself: the resolved target set and its order
+	// are part of the content address; naming the default target is the
+	// same request as naming none.
 	base := compileCacheKey(dotprod, diospyros.Options{})
 	multi := compileCacheKey(dotprod, diospyros.Options{Targets: []string{"fg3lite-4", "fg3lite-8"}})
 	if multi == base {
 		t.Error("targets did not change the cache key")
 	}
-	if one := compileCacheKey(dotprod, diospyros.Options{Targets: []string{"fg3lite-4"}}); one == multi || one == base {
-		t.Error("single-entry targets key collides")
+	if swapped := compileCacheKey(dotprod, diospyros.Options{Targets: []string{"fg3lite-8", "fg3lite-4"}}); swapped == multi {
+		t.Error("target order did not change the cache key")
+	}
+	if one := compileCacheKey(dotprod, diospyros.Options{Targets: []string{"fg3lite-4"}}); one == multi || one != base {
+		t.Error("single default target keyed apart from no targets, or collides with two")
 	}
 }
 

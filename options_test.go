@@ -33,8 +33,8 @@ kernel inv4(d[4]) -> (out[4]) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.C, "recip_v(") {
-		t.Fatalf("recip not chosen:\n%s", res.C)
+	if !strings.Contains(res.Primary().C, "recip_v(") {
+		t.Fatalf("recip not chosen:\n%s", res.Primary().C)
 	}
 	funcs := map[string]func([]float64) float64{
 		"recip": func(a []float64) float64 { return 1 / a[0] },
@@ -73,7 +73,7 @@ func TestOpCostSteersExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(base.C, "PDX_MAC_MXF32") {
+	if !strings.Contains(base.Primary().C, "PDX_MAC_MXF32") {
 		t.Skip("base compile does not use MAC; nothing to steer")
 	}
 	opts := testOpts()
@@ -82,8 +82,8 @@ func TestOpCostSteersExtraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(res.C, "PDX_MAC_MXF32") {
-		t.Fatalf("VecMAC extracted despite prohibitive cost:\n%s", res.C)
+	if strings.Contains(res.Primary().C, "PDX_MAC_MXF32") {
+		t.Fatalf("VecMAC extracted despite prohibitive cost:\n%s", res.Primary().C)
 	}
 	// Result must still be correct.
 	checkCompiled(t, l, opts)
@@ -95,18 +95,18 @@ func TestWidthParametric(t *testing.T) {
 	for _, w := range []int{2, 8} {
 		l := kernels.MatMul(2, 2, 2)
 		opts := testOpts()
-		opts.Target = fmt.Sprintf("fg3lite-%d", w)
+		opts.Targets = []string{fmt.Sprintf("fg3lite-%d", w)}
 		res, err := Compile(l, opts)
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
-		if res.Program == nil {
+		if res.Primary().Program == nil {
 			t.Fatalf("width %d: no assembly program", w)
 		}
-		if res.VIR.Width != w {
-			t.Fatalf("width %d: IR width %d", w, res.VIR.Width)
+		if res.Primary().VIR.Width != w {
+			t.Fatalf("width %d: IR width %d", w, res.Primary().VIR.Width)
 		}
-		if len(res.C) == 0 {
+		if len(res.Primary().C) == 0 {
 			t.Fatalf("width %d: no C output", w)
 		}
 		r := rand.New(rand.NewSource(int64(w)))
@@ -152,11 +152,11 @@ func TestGeneratedCodeRegisterPressure(t *testing.T) {
 		func() *Result { r, _ := Compile(kernels.QRDecomp(4), testOpts()); return r },
 	} {
 		res := mk()
-		if res == nil || res.Program == nil {
+		if res == nil || res.Primary().Program == nil {
 			t.Fatal("compile failed")
 		}
 		maxF, maxV := 0, 0
-		for _, in := range res.Program.Instrs {
+		for _, in := range res.Primary().Program.Instrs {
 			if in.Op.IsVector() {
 				if in.Dst > maxV {
 					maxV = in.Dst
@@ -189,14 +189,14 @@ func TestWidthParametricSemantics(t *testing.T) {
 	for _, w := range []int{2, 8} {
 		l := kernels.Conv2D(3, 3, 2, 2)
 		opts := testOpts()
-		opts.Target = fmt.Sprintf("fg3lite-%d", w)
+		opts.Targets = []string{fmt.Sprintf("fg3lite-%d", w)}
 		res, err := Compile(l, opts)
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
 		r := rand.New(rand.NewSource(int64(w)))
 		in := randIn(r, l)
-		got, err := vir.Interp(res.VIR, in, nil)
+		got, err := vir.Interp(res.Primary().VIR, in, nil)
 		if err != nil {
 			t.Fatalf("width %d: %v", w, err)
 		}
@@ -219,7 +219,7 @@ func TestWidthParametricSemantics(t *testing.T) {
 		// amortizes its data movement).
 		if w >= 4 {
 			usedVec := false
-			for _, in := range res.VIR.Instrs {
+			for _, in := range res.Primary().VIR.Instrs {
 				if in.Op.IsVectorValue() {
 					usedVec = true
 				}

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 
+	"diospyros/internal/codegen"
 	"diospyros/internal/cost"
 	"diospyros/internal/egraph"
-	"diospyros/internal/expr"
 	"diospyros/internal/extract"
 	"diospyros/internal/frontend"
 	"diospyros/internal/isa"
@@ -15,6 +15,7 @@ import (
 	"diospyros/internal/lower"
 	"diospyros/internal/pipeline"
 	"diospyros/internal/rules"
+	"diospyros/internal/validate"
 	"diospyros/internal/vir"
 )
 
@@ -32,8 +33,8 @@ const (
 
 // compileState is the shared state threaded through the compile pipeline.
 // Each stage reads the fields of earlier stages and fills in its own. The
-// per-target stages (extract through validate) iterate over targets/
-// perTarget; the legacy single-target fields mirror perTarget[0].
+// per-target stages (extract through validate) iterate over targets and
+// fill extractors/perTarget, whose first entry is the primary target.
 type compileState struct {
 	opts Options
 
@@ -47,12 +48,6 @@ type compileState struct {
 	report     egraph.Report
 	extractors []*extract.Extractor // after extract, one per target
 	perTarget  []TargetResult       // filled in stage by stage
-	extractor  *extract.Extractor   // = extractors[0]
-	optimized  *expr.Expr
-	ir         *vir.Program // after lower
-	cText      string       // after codegen
-	program    *isa.Program
-	validated  bool // after validate
 }
 
 // compilePipeline assembles the paper's five-stage pipeline. The lift
@@ -186,26 +181,27 @@ func resolveCostModel(opts Options, t *isa.Target) cost.Model {
 }
 
 // stageExtract picks the cheapest program from the e-graph (§3.4), once per
-// target: the saturated e-graph is shared, the cost model is not.
+// target: the saturated e-graph is shared, the cost model is not. The
+// results land in st only once every target has extracted, so a failed
+// compile's trace carries no extraction record.
 func stageExtract(_ context.Context, st *compileState) error {
-	st.extractors = make([]*extract.Extractor, len(st.targets))
-	st.perTarget = make([]TargetResult, len(st.targets))
+	extractors := make([]*extract.Extractor, len(st.targets))
+	perTarget := make([]TargetResult, len(st.targets))
 	for i, t := range st.targets {
 		ex := extract.New(st.g, resolveCostModel(st.opts, t))
 		optimized, err := ex.Expr(st.root)
 		if err != nil {
 			return fmt.Errorf("extraction failed for %s: %w", t, err)
 		}
-		st.extractors[i] = ex
-		st.perTarget[i] = TargetResult{
+		extractors[i] = ex
+		perTarget[i] = TargetResult{
 			Target:    t.Name,
 			Width:     t.Width,
 			Optimized: optimized,
 			Cost:      ex.Cost(st.root),
 		}
 	}
-	st.extractor = st.extractors[0]
-	st.optimized = st.perTarget[0].Optimized
+	st.extractors, st.perTarget = extractors, perTarget
 	return nil
 }
 
@@ -213,17 +209,20 @@ func stageExtract(_ context.Context, st *compileState) error {
 // that target's width and runs the backend cleanup (§4): LVN, shuffle
 // fusion, DCE, then live-range splitting only when the kernel's register
 // pressure exceeds a realistic file (56 of 64 registers, leaving headroom
-// for codegen temporaries).
+// for codegen temporaries). Like extraction, the IR lands in st only once
+// every target has lowered.
 func stageLower(_ context.Context, st *compileState) error {
+	irs := make([]*vir.Program, len(st.targets))
 	for i, t := range st.targets {
-		tr := &st.perTarget[i]
-		raw, err := lower.Lower(st.lifted.Name, tr.Optimized, t.Width, st.lifted)
+		raw, err := lower.Lower(st.lifted.Name, st.perTarget[i].Optimized, t.Width, st.lifted)
 		if err != nil {
 			return fmt.Errorf("lowering failed for %s: %w", t, err)
 		}
-		tr.VIR = vir.BoundPressure(vir.Optimize(raw), 56)
+		irs[i] = vir.BoundPressure(vir.Optimize(raw), 56)
 	}
-	st.ir = st.perTarget[0].VIR
+	for i, ir := range irs {
+		st.perTarget[i].VIR = ir
+	}
 	return nil
 }
 
@@ -232,17 +231,15 @@ func stageLower(_ context.Context, st *compileState) error {
 func stageCodegen(_ context.Context, st *compileState) error {
 	for i, t := range st.targets {
 		tr := &st.perTarget[i]
-		tr.C = codegenC(tr.VIR)
+		tr.C = codegen.ToC(tr.VIR)
 		if t.HasAssembly {
-			p, err := codegenISA(tr.VIR, t)
+			p, err := codegen.ToISA(tr.VIR, t)
 			if err != nil {
 				return fmt.Errorf("code generation failed for %s: %w", t, err)
 			}
 			tr.Program = p
 		}
 	}
-	st.cText = st.perTarget[0].C
-	st.program = st.perTarget[0].Program
 	return nil
 }
 
@@ -253,13 +250,13 @@ func stageCodegen(_ context.Context, st *compileState) error {
 // failures (e.g. uninterpreted functions with no binding) leave Cycles 0
 // rather than failing the compile.
 func stageSimulate(_ context.Context, st *compileState) error {
-	inputs := deterministicInputs(st.lifted, 1)
+	inputs := st.lifted.DeterministicInputs(1)
 	for i := range st.perTarget {
 		tr := &st.perTarget[i]
 		if tr.Program == nil {
 			continue
 		}
-		if _, sres, err := codegenExecute(tr.Program, inputs, st.lifted.Inputs, st.lifted.Outputs, nil); err == nil {
+		if _, sres, err := codegen.Execute(tr.Program, inputs, st.lifted.Inputs, st.lifted.Outputs, nil); err == nil {
 			tr.Cycles = sres.Cycles
 		}
 	}
@@ -271,11 +268,10 @@ func stageSimulate(_ context.Context, st *compileState) error {
 func stageValidate(_ context.Context, st *compileState) error {
 	for i, t := range st.targets {
 		tr := &st.perTarget[i]
-		if err := validateCheck(st.lifted, tr.Optimized); err != nil {
+		if err := validate.Check(st.lifted, tr.Optimized); err != nil {
 			return fmt.Errorf("translation validation failed for %s: %w", t, err)
 		}
 		tr.Validated = true
 	}
-	st.validated = st.perTarget[0].Validated
 	return nil
 }

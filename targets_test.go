@@ -50,10 +50,9 @@ func TestMultiTargetCompile(t *testing.T) {
 			t.Errorf("%s: non-positive cost %g", name, tr.Cost)
 		}
 	}
-	// Primary fields mirror the first requested target.
-	if res.Program != res.Targets[0].Program || res.C != res.Targets[0].C ||
-		res.VIR != res.Targets[0].VIR || res.Optimized != res.Targets[0].Optimized {
-		t.Error("primary result fields do not mirror Targets[0]")
+	// The primary target is the first requested one.
+	if res.Primary() != &res.Targets[0] {
+		t.Error("Primary is not Targets[0]")
 	}
 	// The scalar target must not use vector instructions.
 	for _, in := range res.Targets[2].VIR.Instrs {
@@ -89,30 +88,71 @@ func TestMultiTargetCompile(t *testing.T) {
 	}
 }
 
+// TestMultiTargetCyclesUseDeterministicInputs: the per-target cycle counts
+// a multi-target compile records are exactly what RunTarget reports on the
+// shared DeterministicInputs(1) harness the CLIs simulate with.
+func TestMultiTargetCyclesUseDeterministicInputs(t *testing.T) {
+	opts := testOpts()
+	opts.Targets = []string{"fg3lite-4", "fg3lite-8", "scalar"}
+	res, err := Compile(kernels.Conv2D(3, 3, 2, 2), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range res.Targets {
+		_, sres, err := res.RunTarget(tr.Target, res.Kernel.DeterministicInputs(1), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tr.Target, err)
+		}
+		if tr.Cycles <= 0 || tr.Cycles != sres.Cycles {
+			t.Errorf("%s: recorded %d cycles, RunTarget on DeterministicInputs(1) took %d",
+				tr.Target, tr.Cycles, sres.Cycles)
+		}
+	}
+}
+
+// TestFailedCompileHasNoPrimary: a compile that fails before extraction
+// returns a Result with no targets; Primary is nil and Run reports an
+// error instead of panicking.
+func TestFailedCompileHasNoPrimary(t *testing.T) {
+	res, err := CompileSource("kernel broken(", testOpts())
+	if err == nil {
+		t.Fatal("malformed kernel compiled")
+	}
+	if res == nil || res.Trace == nil {
+		t.Fatal("failed compile returned no partial result")
+	}
+	if res.Primary() != nil {
+		t.Error("failed compile has a primary target")
+	}
+	if _, _, err := res.Run(nil, nil); err == nil {
+		t.Error("Run on a failed compile succeeded")
+	}
+}
+
 // TestMultiTargetDedup: duplicate names collapse, order preserved.
 func TestMultiTargetDedup(t *testing.T) {
 	opts := testOpts()
 	opts.Targets = []string{"fg3lite-8", "fg3lite-4", "fg3lite-8"}
-	targets, err := resolveTargets(opts.withDefaults())
+	targets, err := ResolveTargets(opts.Targets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(targets) != 2 || targets[0].Name != "fg3lite-8" || targets[1].Name != "fg3lite-4" {
-		t.Fatalf("resolveTargets = %v", targets)
+		t.Fatalf("ResolveTargets = %v", targets)
 	}
 }
 
 // TestResolveTargetsLegacyWidth: a request naming no target resolves to
 // the default target, fg3lite-4.
 func TestResolveTargetsLegacyWidth(t *testing.T) {
-	targets, err := resolveTargets(Options{}.withDefaults())
+	targets, err := ResolveTargets(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(targets) != 1 || targets[0].Name != "fg3lite-4" {
 		t.Fatalf("empty options resolved to %v, want fg3lite-4", targets)
 	}
-	if _, err := resolveTargets(Options{Target: "no-such-machine"}.withDefaults()); err == nil {
+	if _, err := ResolveTargets([]string{"no-such-machine"}); err == nil {
 		t.Fatal("unknown target accepted")
 	}
 }
@@ -130,15 +170,15 @@ func TestNoBackendError(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := testOpts()
-	opts.Target = "cc-only-4"
+	opts.Targets = []string{"cc-only-4"}
 	res, err := Compile(kernels.MatMul(2, 2, 2), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Program != nil {
+	if res.Primary().Program != nil {
 		t.Fatal("backend-less target produced assembly")
 	}
-	if res.C == "" {
+	if res.Primary().C == "" {
 		t.Fatal("backend-less target produced no C")
 	}
 	_, _, err = res.Run(nil, nil)

@@ -155,7 +155,7 @@ func TestCompileSaturationTimeoutStillEmitsCode(t *testing.T) {
 	if res.Saturation.Reason == egraph.StopCancelled {
 		t.Fatalf("internal timeout misreported as cancellation")
 	}
-	if res.C == "" || res.VIR == nil {
+	if res.Primary().C == "" || res.Primary().VIR == nil {
 		t.Fatal("timed-out compile produced no code")
 	}
 }
