@@ -69,11 +69,12 @@ func BenchmarkMatchPhase(b *testing.B) {
 	g.AddExpr(e)
 	Run(g, rules, Limits{MaxIterations: 4, MaxNodes: 50_000, MatchWorkers: 1})
 	ctx := context.Background()
+	var snap matchSnapshot
 	b.ReportAllocs()
 	b.ResetTimer()
 	total := 0
 	for i := 0; i < b.N; i++ {
-		found, _ := searchRules(ctx, g, rules, 1)
+		found, _ := searchRules(ctx, g, rules, 1, &snap)
 		for _, f := range found {
 			total += len(f.matches)
 		}
@@ -117,4 +118,33 @@ func BenchmarkSaturationThroughputProvenance(b *testing.B) {
 	}
 	b.ReportMetric(float64(applied), "applies")
 	b.ReportMetric(float64(applied)*float64(b.N)/b.Elapsed().Seconds(), "applies/s")
+}
+
+// patternMissFixture returns the saturated workload graph's canonical
+// classes and a rewrite whose left-hand side matches none of them but
+// fails deep: the root and both products match and ?a binds, and only the
+// nonlinear ?a comparison rejects (no two products share a factor).
+func patternMissFixture() (*EGraph, []*EClass, ShardedRewrite) {
+	e, rules := saturationWorkload(12)
+	g := New()
+	g.AddExpr(e)
+	Run(g, rules, Limits{MaxIterations: 4, MaxNodes: 50_000, MatchWorkers: 1})
+	g.CompressPaths()
+	miss := MustRewrite("miss", "(+ (* ?a ?b) (+ (* ?a ?c) ?d))", "?a").(ShardedRewrite)
+	return g, g.CanonicalClasses(), miss
+}
+
+// BenchmarkSearchPatternMiss measures one compiled-pattern search over
+// every canonical class where nothing matches. A miss must allocate
+// nothing: the search state is a stack-held frame array and a Subst is
+// built only for a complete match (CI greps this line for 0 allocs/op).
+func BenchmarkSearchPatternMiss(b *testing.B) {
+	g, classes, miss := patternMissFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ms := miss.SearchClasses(g, classes); len(ms) != 0 {
+			b.Fatalf("miss pattern matched %d times", len(ms))
+		}
+	}
 }

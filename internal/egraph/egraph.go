@@ -19,6 +19,8 @@ package egraph
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -183,10 +185,23 @@ func (g *EGraph) Classes(f func(*EClass)) {
 // freshly allocated; the *EClass values are the live classes, so callers
 // must not mutate them while other goroutines read the graph.
 func (g *EGraph) CanonicalClasses() []*EClass {
-	out := make([]*EClass, 0, len(g.classes))
-	g.Classes(func(cls *EClass) { out = append(out, cls) })
-	return out
+	return g.canonicalClasses(make([]*EClass, 0, len(g.classes)))
 }
+
+// canonicalClasses refills buf with every canonical class, sorted by ID,
+// reusing its backing array (the runner's per-iteration snapshot).
+func (g *EGraph) canonicalClasses(buf []*EClass) []*EClass {
+	buf = buf[:0]
+	for id, cls := range g.classes {
+		if g.Find(id) == id {
+			buf = append(buf, cls)
+		}
+	}
+	slices.SortFunc(buf, byClassID)
+	return buf
+}
+
+func byClassID(a, b *EClass) int { return cmp.Compare(a.ID, b.ID) }
 
 // canonicalize rewrites the node's children to canonical class IDs in place.
 func (g *EGraph) canonicalize(n *ENode) {

@@ -1,7 +1,7 @@
 package egraph
 
 import (
-	"sort"
+	"slices"
 
 	"diospyros/internal/expr"
 )
@@ -48,17 +48,32 @@ func (r *patternRewrite) RootOps() []expr.Op {
 
 // ClassIndex is one iteration's head-op index: the full canonical class
 // list plus, per operator, the ID-ordered sublist of classes containing at
-// least one node with that head.
+// least one node with that head. The runner keeps one index for a whole
+// run and rebuilds it in place each iteration, reusing every list's
+// backing array.
 type ClassIndex struct {
 	classes []*EClass
 	byOp    [expr.NumOps][]*EClass
+	merged  []*EClass // backs this iteration's multi-op candidate lists
 }
 
 // HeadIndex builds the head-op index over a canonical class snapshot (as
 // returned by CanonicalClasses). One O(nodes) pass; the runner rebuilds it
 // every iteration because rebuilds move nodes between classes.
 func HeadIndex(classes []*EClass) *ClassIndex {
-	ix := &ClassIndex{classes: classes}
+	ix := &ClassIndex{}
+	ix.reset(classes)
+	return ix
+}
+
+// reset rebuilds the index over classes, truncating the previous
+// iteration's lists rather than allocating new ones. Lists handed out by
+// Candidates before the reset must no longer be in use.
+func (ix *ClassIndex) reset(classes []*EClass) {
+	ix.classes, ix.merged = classes, ix.merged[:0]
+	for op := range ix.byOp {
+		ix.byOp[op] = ix.byOp[op][:0]
+	}
 	for _, cls := range classes {
 		var mask uint64 // distinct heads in this class (NumOps < 64)
 		for _, n := range cls.Nodes {
@@ -71,12 +86,11 @@ func HeadIndex(classes []*EClass) *ClassIndex {
 			}
 		}
 	}
-	return ix
 }
 
 // Candidates returns the classes the rewrite's search must scan, in
 // canonical ID order: the per-op sublists for a HeadIndexed rule, the full
-// class list otherwise.
+// class list otherwise. The list stays valid until the index is reset.
 func (ix *ClassIndex) Candidates(r Rewrite) []*EClass {
 	hi, ok := r.(HeadIndexed)
 	if !ok {
@@ -91,20 +105,20 @@ func (ix *ClassIndex) Candidates(r Rewrite) []*EClass {
 	}
 	// A class holding nodes of several root heads appears in several
 	// sublists; merge and deduplicate by ID to restore the canonical order.
-	total := 0
+	// Each merge appends to the shared buffer, past every list handed out
+	// earlier this iteration (a grown buffer leaves those in the old array).
+	start := len(ix.merged)
 	for _, op := range ops {
-		total += len(ix.byOp[op])
+		ix.merged = append(ix.merged, ix.byOp[op]...)
 	}
-	merged := make([]*EClass, 0, total)
-	for _, op := range ops {
-		merged = append(merged, ix.byOp[op]...)
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].ID < merged[j].ID })
+	merged := ix.merged[start:]
+	slices.SortFunc(merged, byClassID)
 	out := merged[:0]
 	for i, cls := range merged {
 		if i == 0 || cls.ID != merged[i-1].ID {
 			out = append(out, cls)
 		}
 	}
-	return out
+	ix.merged = ix.merged[:start+len(out)]
+	return out[:len(out):len(out)]
 }

@@ -1,7 +1,9 @@
 package egraph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode"
@@ -22,15 +24,6 @@ type Pattern struct {
 	IdxAny bool
 	Args   []*Pattern
 }
-
-// PVar constructs a pattern variable.
-func PVar(name string) *Pattern { return &Pattern{Var: name} }
-
-// PLit constructs a literal pattern.
-func PLit(v float64) *Pattern { return &Pattern{Op: expr.OpLit, Lit: v} }
-
-// POp constructs an operator pattern.
-func POp(op expr.Op, args ...*Pattern) *Pattern { return &Pattern{Op: op, Args: args} }
 
 // ParsePattern parses an s-expression pattern. Tokens beginning with '?' are
 // pattern variables; other syntax matches the expr DSL.
@@ -100,10 +93,10 @@ func (p *patParser) parse() (*Pattern, error) {
 			return nil, fmt.Errorf("egraph: bad pattern at offset %d", p.pos)
 		}
 		if strings.HasPrefix(tok, "?") {
-			return PVar(tok), nil
+			return &Pattern{Var: tok}, nil
 		}
 		if v, err := strconv.ParseFloat(tok, 64); err == nil {
-			return PLit(v), nil
+			return &Pattern{Op: expr.OpLit, Lit: v}, nil
 		}
 		return &Pattern{Op: expr.OpSym, Sym: tok}, nil
 	}
@@ -115,32 +108,22 @@ func (p *patParser) parse() (*Pattern, error) {
 		return nil, fmt.Errorf("egraph: unknown pattern operator %q", head)
 	}
 	pat := &Pattern{Op: op}
-	switch op {
-	case expr.OpGet:
+	if op == expr.OpGet || op == expr.OpFunc || op == expr.OpVecFunc {
 		p.skip()
-		pat.Sym = p.token() // "?" or "" means any array
-		if strings.HasPrefix(pat.Sym, "?") {
-			pat.Sym = ""
+		if pat.Sym = p.token(); strings.HasPrefix(pat.Sym, "?") {
+			pat.Sym = "" // any array or function
 		}
+	}
+	if op == expr.OpGet {
 		p.skip()
-		idxTok := p.token()
-		if strings.HasPrefix(idxTok, "?") {
+		if idxTok := p.token(); strings.HasPrefix(idxTok, "?") {
 			pat.IdxAny = true
+		} else if idx, err := strconv.Atoi(idxTok); err != nil {
+			return nil, fmt.Errorf("egraph: Get pattern index %q", idxTok)
 		} else {
-			idx, err := strconv.Atoi(idxTok)
-			if err != nil {
-				return nil, fmt.Errorf("egraph: Get pattern index %q", idxTok)
-			}
 			pat.Idx = idx
 		}
-	case expr.OpFunc, expr.OpVecFunc:
-		p.skip()
-		pat.Sym = p.token()
-		if strings.HasPrefix(pat.Sym, "?") {
-			pat.Sym = ""
-		}
-		fallthrough
-	default:
+	} else {
 		for {
 			p.skip()
 			if p.pos >= len(p.src) {
@@ -165,36 +148,10 @@ func (p *patParser) parse() (*Pattern, error) {
 }
 
 // Vars returns the distinct variable names in the pattern, in first-use order.
-func (p *Pattern) Vars() []string {
-	var out []string
-	seen := map[string]bool{}
-	var walk func(*Pattern)
-	walk = func(q *Pattern) {
-		if q.Var != "" {
-			if !seen[q.Var] {
-				seen[q.Var] = true
-				out = append(out, q.Var)
-			}
-			return
-		}
-		for _, a := range q.Args {
-			walk(a)
-		}
-	}
-	walk(p)
-	return out
-}
+func (p *Pattern) Vars() []string { return compilePattern(p).vars }
 
 // Subst maps pattern variables to e-classes.
 type Subst map[string]ClassID
-
-func (s Subst) clone() Subst {
-	c := make(Subst, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
 
 // Match is one result of searching a rewrite's left-hand side: the class
 // where it matched and the variable bindings. Custom searchers may attach
@@ -207,60 +164,116 @@ type Match struct {
 
 // SearchPattern finds all matches of the pattern anywhere in the graph.
 func (g *EGraph) SearchPattern(p *Pattern) []Match {
+	return compilePattern(p).search(g, g.CanonicalClasses())
+}
+
+// program is a compiled left-hand side (DESIGN.md §14.5): the pattern
+// tree flattened into pre-order instructions. Each variable's slot is the
+// instruction of its first occurrence, whose frame holds the binding. A
+// program is immutable and shared by concurrent searches.
+type program struct {
+	insts []inst
+	vars  []string // variable names in first-use order
+	slots []int    // the binding instruction of each of vars
+}
+
+// inst is one pattern node of a program.
+type inst struct {
+	pat    *Pattern // the node's local checks (nodeMatches), or its variable
+	bound  int      // a repeated variable's binding instruction, else -1
+	parent int      // instruction whose chosen e-node holds this class
+	arg    int      // argument index within that e-node
+}
+
+func compilePattern(p *Pattern) *program {
+	prog := &program{}
+	var walk func(q *Pattern, parent, arg int)
+	walk = func(q *Pattern, parent, arg int) {
+		in := inst{pat: q, bound: -1, parent: parent, arg: arg}
+		if k := slices.Index(prog.vars, q.Var); k >= 0 {
+			in.bound = prog.slots[k]
+		} else if q.Var != "" {
+			prog.vars = append(prog.vars, q.Var)
+			prog.slots = append(prog.slots, len(prog.insts))
+		}
+		prog.insts = append(prog.insts, in)
+		self := len(prog.insts) - 1
+		for i, a := range q.Args {
+			walk(a, self, i)
+		}
+	}
+	walk(p, -1, 0)
+	return prog
+}
+
+// inlineInsts bounds the programs whose search state lives on the stack.
+const inlineInsts = 16
+
+// frame is one instruction's search state.
+type frame struct {
+	class ClassID   // the canonical class this instruction matches against
+	next  int       // the class's next e-node to try
+	args  []ClassID // children of the e-node chosen here
+}
+
+// search returns the program's matches within classes, in class order, by
+// backtracking depth-first over the instructions. Choices are made in
+// pattern pre-order, which enumerates matches in nested-product order
+// (DESIGN.md §14.5). A Subst is built only for a complete match, so a
+// search that finds nothing allocates nothing.
+func (prog *program) search(g *EGraph, classes []*EClass) []Match {
 	var out []Match
-	g.Classes(func(cls *EClass) {
-		out = append(out, g.matchClass(p, cls.ID)...)
-	})
+	var buf [inlineInsts]frame
+	frames := buf[:]
+	if len(prog.insts) > inlineInsts {
+		frames = make([]frame, len(prog.insts))
+	}
+	n := len(prog.insts)
+	for _, cls := range classes {
+		root := g.Find(cls.ID)
+		frames[0] = frame{class: root}
+		for i := 0; i >= 0; {
+			if i < n && prog.advance(g, i, frames) {
+				if i++; i < n {
+					in := &prog.insts[i]
+					frames[i] = frame{class: g.Find(frames[in.parent].args[in.arg])}
+				}
+				continue
+			}
+			if i == n {
+				s := make(Subst, len(prog.vars))
+				for k, v := range prog.vars {
+					s[v] = frames[prog.slots[k]].class
+				}
+				out = append(out, Match{Class: root, Subst: s})
+			}
+			i--
+		}
+	}
 	return out
 }
 
-// matchClass matches p against one class, returning all substitutions.
-func (g *EGraph) matchClass(p *Pattern, id ClassID) []Match {
-	substs := g.matchIn(p, g.Find(id), Subst{})
-	out := make([]Match, 0, len(substs))
-	for _, s := range substs {
-		out = append(out, Match{Class: g.Find(id), Subst: s})
-	}
-	return out
-}
-
-// matchIn returns all extensions of subst under which p matches class id.
-func (g *EGraph) matchIn(p *Pattern, id ClassID, subst Subst) []Subst {
-	id = g.Find(id)
-	if p.Var != "" {
-		if bound, ok := subst[p.Var]; ok {
-			if g.Find(bound) == id {
-				return []Subst{subst}
-			}
-			return nil
+// advance moves instruction i to its next alternative, reporting false
+// when it has none left. A variable has one alternative (bind, or agree
+// with its earlier binding); an operator node has one per matching e-node.
+func (prog *program) advance(g *EGraph, i int, frames []frame) bool {
+	in, f := &prog.insts[i], &frames[i]
+	if in.pat.Var != "" {
+		if f.next > 0 || (in.bound >= 0 && frames[in.bound].class != f.class) {
+			return false
 		}
-		s := subst.clone()
-		s[p.Var] = id
-		return []Subst{s}
+		f.next = 1
+		return true
 	}
-	cls := g.classes[id]
-	if cls == nil {
-		return nil
-	}
-	var results []Subst
-	for _, n := range cls.Nodes {
-		if !g.nodeMatches(p, n) {
-			continue
+	for cls := g.classes[f.class]; cls != nil && f.next < len(cls.Nodes); {
+		nd := &cls.Nodes[f.next]
+		f.next++
+		if g.nodeMatches(in.pat, nd) {
+			f.args = nd.Args
+			return true
 		}
-		partial := []Subst{subst}
-		for i, argPat := range p.Args {
-			var next []Subst
-			for _, s := range partial {
-				next = append(next, g.matchIn(argPat, n.Args[i], s)...)
-			}
-			partial = next
-			if len(partial) == 0 {
-				break
-			}
-		}
-		results = append(results, partial...)
 	}
-	return results
+	return false
 }
 
 // nodeMatches checks the node-local parts of a pattern (operator, payload,
@@ -268,33 +281,28 @@ func (g *EGraph) matchIn(p *Pattern, id ClassID, subst Subst) []Subst {
 // (patterns are shared across graphs); they are resolved against the
 // graph's intern table here — a symbol never interned in this graph cannot
 // appear on any node, so such patterns simply match nothing.
-func (g *EGraph) nodeMatches(p *Pattern, n ENode) bool {
-	if p.Op != n.Op {
+func (g *EGraph) nodeMatches(p *Pattern, n *ENode) bool {
+	if p.Op != n.Op || len(p.Args) != len(n.Args) {
 		return false
 	}
 	switch p.Op {
 	case expr.OpLit:
 		return p.Lit == n.Lit
+	case expr.OpGet:
+		if !p.IdxAny && p.Idx != n.Idx {
+			return false
+		}
+		fallthrough
+	case expr.OpFunc, expr.OpVecFunc:
+		if p.Sym == "" { // any array or function
+			return true
+		}
+		fallthrough
 	case expr.OpSym:
 		sid, ok := g.syms.Lookup(p.Sym)
 		return ok && sid == n.Sym
-	case expr.OpGet:
-		if p.Sym != "" {
-			sid, ok := g.syms.Lookup(p.Sym)
-			if !ok || sid != n.Sym {
-				return false
-			}
-		}
-		return p.IdxAny || p.Idx == n.Idx
-	case expr.OpFunc, expr.OpVecFunc:
-		if p.Sym != "" {
-			sid, ok := g.syms.Lookup(p.Sym)
-			if !ok || sid != n.Sym {
-				return false
-			}
-		}
 	}
-	return len(p.Args) == len(n.Args)
+	return true
 }
 
 // Instantiate adds the pattern to the graph under the substitution,
@@ -339,25 +347,15 @@ func (p *Pattern) write(b *strings.Builder) {
 	case expr.OpSym:
 		b.WriteString(p.Sym)
 	case expr.OpGet:
-		sym := p.Sym
-		if sym == "" {
-			sym = "?arr"
+		idx := "?i"
+		if !p.IdxAny {
+			idx = strconv.Itoa(p.Idx)
 		}
-		if p.IdxAny {
-			fmt.Fprintf(b, "(Get %s ?i)", sym)
-		} else {
-			fmt.Fprintf(b, "(Get %s %d)", sym, p.Idx)
-		}
+		fmt.Fprintf(b, "(Get %s %s)", cmp.Or(p.Sym, "?arr"), idx)
 	default:
-		b.WriteByte('(')
-		b.WriteString(p.Op.String())
+		fmt.Fprintf(b, "(%s", p.Op)
 		if p.Op == expr.OpFunc || p.Op == expr.OpVecFunc {
-			b.WriteByte(' ')
-			if p.Sym == "" {
-				b.WriteString("?f")
-			} else {
-				b.WriteString(p.Sym)
-			}
+			fmt.Fprintf(b, " %s", cmp.Or(p.Sym, "?f"))
 		}
 		for _, a := range p.Args {
 			b.WriteByte(' ')

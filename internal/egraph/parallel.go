@@ -48,11 +48,7 @@ type ShardedRewrite interface {
 // SearchClasses restricts the syntactic pattern search to the given
 // classes, making every parsed rewrite shardable.
 func (r *patternRewrite) SearchClasses(g *EGraph, classes []*EClass) []Match {
-	var out []Match
-	for _, cls := range classes {
-		out = append(out, g.matchClass(r.lhs, cls.ID)...)
-	}
-	return out
+	return r.prog.search(g, classes)
 }
 
 // DefaultMatchWorkers is the worker-pool size used when Limits.MatchWorkers
@@ -79,6 +75,17 @@ type ruleMatches struct {
 	searchDur time.Duration
 }
 
+// matchSnapshot is the match phase's view of one iteration's graph: the
+// canonical class list and the head-op index over it. The runner keeps one
+// for a whole run and searchRules rebuilds it in place each iteration, so
+// the slices are reused rather than allocated anew. Reuse is race-free:
+// the snapshot is rebuilt serially before the fan-out, and no Match refers
+// to it.
+type matchSnapshot struct {
+	classes []*EClass
+	ix      ClassIndex
+}
+
 // searchRules runs the read-only match phase for rules over g on at most
 // workers goroutines, returning per-rule matches in rule order; within each
 // rule, matches appear in canonical e-class order, so the result is the
@@ -88,12 +95,14 @@ type ruleMatches struct {
 //
 // cancelled reports that ctx fired before the match phase returned (it is
 // polled between tasks, so the remaining tasks are skipped); results are
-// discarded and the caller stops the run.
-func searchRules(ctx context.Context, g *EGraph, rules []Rewrite, workers int) (out []ruleMatches, cancelled bool) {
+// discarded and the caller stops the run. snap is the caller's reusable
+// snapshot buffer.
+func searchRules(ctx context.Context, g *EGraph, rules []Rewrite, workers int, snap *matchSnapshot) (out []ruleMatches, cancelled bool) {
 	// Serial prologue: after this, Find is write-free until the next Union.
 	g.CompressPaths()
-	classes := g.CanonicalClasses()
-	ix := HeadIndex(classes)
+	snap.classes = g.canonicalClasses(snap.classes)
+	snap.ix.reset(snap.classes)
+	classes, ix := snap.classes, &snap.ix
 
 	// Shard granularity is derived from the full class count, not per-rule
 	// candidate counts, so the cost of one shard is comparable across rules

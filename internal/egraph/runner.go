@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"diospyros/internal/telemetry"
@@ -29,21 +30,19 @@ type Rewrite interface {
 type patternRewrite struct {
 	name     string
 	lhs, rhs *Pattern
+	prog     *program // lhs compiled once, searched every iteration
 }
 
 // NewRewrite builds a syntactic rewrite rule from two patterns. Every
 // variable in rhs must occur in lhs.
 func NewRewrite(name string, lhs, rhs *Pattern) Rewrite {
-	lvars := map[string]bool{}
-	for _, v := range lhs.Vars() {
-		lvars[v] = true
-	}
+	prog := compilePattern(lhs)
 	for _, v := range rhs.Vars() {
-		if !lvars[v] {
+		if !slices.Contains(prog.vars, v) {
 			panic("egraph: rewrite " + name + ": unbound rhs variable " + v)
 		}
 	}
-	return &patternRewrite{name: name, lhs: lhs, rhs: rhs}
+	return &patternRewrite{name: name, lhs: lhs, rhs: rhs, prog: prog}
 }
 
 // MustRewrite builds a syntactic rule from pattern source strings.
@@ -73,19 +72,17 @@ func ParseRewrite(name, lhs, rhs string) (rw Rewrite, err error) {
 
 func (r *patternRewrite) Name() string { return r.name }
 
-func (r *patternRewrite) Search(g *EGraph) []Match { return g.SearchPattern(r.lhs) }
+func (r *patternRewrite) Search(g *EGraph) []Match {
+	return r.prog.search(g, g.CanonicalClasses())
+}
 
 func (r *patternRewrite) Apply(g *EGraph, m Match) bool {
-	id, err := r.rhs.instantiateOrErr(g, m.Subst)
+	id, err := g.Instantiate(r.rhs, m.Subst)
 	if err != nil {
 		return false
 	}
 	_, changed := g.Union(m.Class, id)
 	return changed
-}
-
-func (p *Pattern) instantiateOrErr(g *EGraph, s Subst) (ClassID, error) {
-	return g.Instantiate(p, s)
 }
 
 // StopReason explains why a saturation run ended.
@@ -251,6 +248,7 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 		}
 	}
 
+	var snap matchSnapshot // the match phase's buffers, reused every iteration
 	for iter := 0; iter < maxIter; iter++ {
 		if nodesOver() {
 			rep.Reason = StopNodeLimit
@@ -282,7 +280,7 @@ func RunContext(ctx context.Context, g *EGraph, rules []Rewrite, lim Limits) Rep
 		if g.NumClasses() < matchParallelMinClasses {
 			w = 1
 		}
-		found, cancelled := searchRules(ctx, g, eligible, w)
+		found, cancelled := searchRules(ctx, g, eligible, w, &snap)
 		var stop StopReason
 		searched := rules
 		if cancelled {

@@ -1,6 +1,8 @@
 package rules
 
 import (
+	"slices"
+
 	"diospyros/internal/egraph"
 	"diospyros/internal/expr"
 )
@@ -85,17 +87,16 @@ func (vectorizeRule) RootOps() []expr.Op { return []expr.Op{expr.OpVec} }
 // padding lanes, or nil when the operator cannot produce 0.
 var laneOps = []struct {
 	scalar, vector expr.Op
-	arity          int
 	zero           []operand
 }{
-	{expr.OpAdd, expr.OpVecAdd, 2, []operand{litOperand(0), litOperand(0)}},
-	{expr.OpSub, expr.OpVecMinus, 2, []operand{litOperand(0), litOperand(0)}},
-	{expr.OpMul, expr.OpVecMul, 2, []operand{litOperand(0), litOperand(0)}},
-	{expr.OpDiv, expr.OpVecDiv, 2, []operand{litOperand(0), litOperand(1)}},
-	{expr.OpNeg, expr.OpVecNeg, 1, []operand{litOperand(0)}},
-	{expr.OpSqrt, expr.OpVecSqrt, 1, []operand{litOperand(0)}},
+	{expr.OpAdd, expr.OpVecAdd, []operand{litOperand(0), litOperand(0)}},
+	{expr.OpSub, expr.OpVecMinus, []operand{litOperand(0), litOperand(0)}},
+	{expr.OpMul, expr.OpVecMul, []operand{litOperand(0), litOperand(0)}},
+	{expr.OpDiv, expr.OpVecDiv, []operand{litOperand(0), litOperand(1)}},
+	{expr.OpNeg, expr.OpVecNeg, []operand{litOperand(0)}},
+	{expr.OpSqrt, expr.OpVecSqrt, []operand{litOperand(0)}},
 	// sgn never yields 0 (sgn(0)=1), so no zero-lane padding for it.
-	{expr.OpSgn, expr.OpVecSgn, 1, nil},
+	{expr.OpSgn, expr.OpVecSgn, nil},
 }
 
 func (r vectorizeRule) Search(g *egraph.EGraph) []egraph.Match {
@@ -112,18 +113,10 @@ func (r vectorizeRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass)
 				continue
 			}
 			for _, fam := range laneOps {
-				alts, anyReal := laneDecompositions(g, vecNode.Args, fam.scalar, fam.zero)
-				if alts == nil || !anyReal {
-					continue
-				}
-				for _, combo := range enumerate(alts) {
-					out = append(out, egraph.Match{
-						Class: cls.ID,
-						Data:  vecMatch{op: fam.vector, lanes: combo},
-					})
-				}
+				out = appendLaneMatches(out, g, cls.ID, vecNode.Args,
+					laneForm{op: fam.scalar, zero: fam.zero}, vecMatch{op: fam.vector})
 			}
-			out = append(out, r.searchFunc(g, cls.ID, vecNode)...)
+			out = r.searchFunc(out, g, cls.ID, vecNode)
 		}
 	}
 	return out
@@ -132,90 +125,143 @@ func (r vectorizeRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass)
 // searchFunc vectorizes lanes that all call the same uninterpreted function
 // with the same arity: (Vec (func f a) (func f b) ...) ⇝ (VecFunc f (Vec a b ...)).
 // This is the extension hook §6 describes (e.g. a target recip instruction).
-func (vectorizeRule) searchFunc(g *egraph.EGraph, class egraph.ClassID, vecNode egraph.ENode) []egraph.Match {
-	// Collect candidate (name, arity) pairs from the first lane.
+// The candidate (name, arity) pairs come from the first lane's calls, the
+// first call of each name fixing its arity.
+func (vectorizeRule) searchFunc(out []egraph.Match, g *egraph.EGraph, class egraph.ClassID, vecNode egraph.ENode) []egraph.Match {
 	first := g.Class(vecNode.Args[0])
 	if first == nil {
-		return nil
+		return out
 	}
-	var out []egraph.Match
-	tried := map[egraph.SymID]bool{}
-	for _, n := range first.Nodes {
-		if n.Op != expr.OpFunc || tried[n.Sym] {
+	for i, n := range first.Nodes {
+		if n.Op != expr.OpFunc || slices.ContainsFunc(first.Nodes[:i], func(m egraph.ENode) bool {
+			return m.Op == expr.OpFunc && m.Sym == n.Sym
+		}) {
 			continue
 		}
-		tried[n.Sym] = true
-		arity := len(n.Args)
-		alts := make([][][]operand, 0, len(vecNode.Args))
-		ok := true
-		for _, lane := range vecNode.Args {
-			var laneAlts [][]operand
-			for _, ln := range g.Class(lane).Nodes {
-				if ln.Op == expr.OpFunc && ln.Sym == n.Sym && len(ln.Args) == arity {
-					ops := make([]operand, arity)
-					for i, a := range ln.Args {
-						ops[i] = operand{class: a}
-					}
-					laneAlts = append(laneAlts, ops)
-					if len(laneAlts) >= maxLaneAlts {
-						break
-					}
-				}
-			}
-			if len(laneAlts) == 0 {
-				ok = false
-				break
-			}
-			alts = append(alts, laneAlts)
-		}
-		if !ok {
-			continue
-		}
-		for _, combo := range enumerate(alts) {
-			out = append(out, egraph.Match{
-				Class: class,
-				Data:  vecMatch{op: expr.OpVecFunc, sym: n.Sym, lanes: combo},
-			})
-		}
+		out = appendLaneMatches(out, g, class, vecNode.Args,
+			laneForm{op: expr.OpFunc, sym: n.Sym, arity: len(n.Args)},
+			vecMatch{op: expr.OpVecFunc, sym: n.Sym})
 	}
 	return out
 }
 
-// laneDecompositions finds, for every lane class, up to maxLaneAlts operand
-// tuples under the scalar operator op (or the zero tuple for literal-zero
-// lanes). It returns nil if some lane has no decomposition. anyReal reports
-// whether at least one lane decomposed through an actual operator node.
-func laneDecompositions(g *egraph.EGraph, lanes []egraph.ClassID, op expr.Op, zero []operand) (alts [][][]operand, anyReal bool) {
-	alts = make([][][]operand, 0, len(lanes))
-	for _, lane := range lanes {
-		var laneAlts [][]operand
-		cls := g.Class(lane)
-		if cls == nil {
-			return nil, false
+// laneForm is one way every lane of a Vec node may decompose: under a
+// scalar operator family (op, with zero the operand tuple of a literal-zero
+// lane, or nil), under one uninterpreted function (OpFunc, sym and arity),
+// or under the four MAC forms (OpVecMAC).
+type laneForm struct {
+	op    expr.Op
+	sym   egraph.SymID
+	arity int
+	zero  []operand
+}
+
+// macForm is the MAC searcher's lane form; a zero lane is (0, 0, 0).
+var macForm = laneForm{op: expr.OpVecMAC, zero: []operand{litOperand(0), litOperand(0), litOperand(0)}}
+
+// laneAlt is one lane's operand tuple, held by value so that visiting a
+// lane allocates nothing: the matched e-node's children, or the first n
+// entries of ops.
+type laneAlt struct {
+	args []egraph.ClassID
+	ops  [3]operand
+	n    int
+}
+
+// tuple materializes the operand tuple for the applier.
+func (a laneAlt) tuple() []operand {
+	t := append(make([]operand, 0, a.n+len(a.args)), a.ops[:a.n]...)
+	for _, c := range a.args {
+		t = append(t, operand{class: c})
+	}
+	return t
+}
+
+// visit is the one lane scan the lane-wise and MAC searchers share: it
+// calls yield (when non-nil) with each of the lane's decompositions under
+// f, in e-node order, up to maxLaneAlts, falling back to the zero tuple for
+// a lane with none that holds the literal 0. It returns how many it found
+// and whether one came from an operator e-node — for MAC, a genuine
+// (+ _ (* _ _)) sum — rather than the zero fallback or a bare product.
+func (f laneForm) visit(g *egraph.EGraph, lane egraph.ClassID, yield func(laneAlt)) (n int, real bool) {
+	cls := g.Class(lane)
+	if cls == nil {
+		return 0, false
+	}
+	emit := func(a laneAlt) bool {
+		if n++; yield != nil {
+			yield(a)
 		}
-		for _, n := range cls.Nodes {
-			if n.Op != op {
+		return n >= maxLaneAlts
+	}
+scan:
+	for _, nd := range cls.Nodes {
+		switch {
+		case f.op != expr.OpVecMAC:
+			if nd.Op != f.op || (f.op == expr.OpFunc && (nd.Sym != f.sym || len(nd.Args) != f.arity)) {
 				continue
 			}
-			ops := make([]operand, len(n.Args))
-			for i, a := range n.Args {
-				ops[i] = operand{class: a}
+			real = true
+			if emit(laneAlt{args: nd.Args}) {
+				break scan
 			}
-			laneAlts = append(laneAlts, ops)
-			anyReal = true
-			if len(laneAlts) >= maxLaneAlts {
-				break
+		case nd.Op == expr.OpAdd:
+			// (+ acc (* b c)) and (+ (* b c) acc).
+			for side := 0; side < 2; side++ {
+				prod, acc := g.Class(nd.Args[1-side]), nd.Args[side]
+				if prod == nil {
+					continue
+				}
+				for _, pn := range prod.Nodes {
+					if pn.Op == expr.OpMul {
+						real = true
+						if emit(laneAlt{ops: [3]operand{{class: acc}, {class: pn.Args[0]}, {class: pn.Args[1]}}, n: 3}) {
+							break scan
+						}
+					}
+				}
+			}
+		case nd.Op == expr.OpMul:
+			// Bare product: acc = 0.
+			if emit(laneAlt{ops: [3]operand{litOperand(0), {class: nd.Args[0]}, {class: nd.Args[1]}}, n: 3}) {
+				break scan
 			}
 		}
-		if len(laneAlts) == 0 && zero != nil && classHasLit(g, lane, 0) {
-			laneAlts = append(laneAlts, zero)
-		}
-		if len(laneAlts) == 0 {
-			return nil, false
-		}
-		alts = append(alts, laneAlts)
 	}
-	return alts, anyReal
+	if n == 0 && f.zero != nil && classHasLit(g, lane, 0) {
+		var a laneAlt
+		a.n = copy(a.ops[:], f.zero)
+		emit(a)
+	}
+	return n, real
+}
+
+// appendLaneMatches appends vm's matches at class when every lane
+// decomposes under f and at least one through an operator e-node: one
+// match per lane combination, up to maxCombos. A first visit of each lane
+// tests feasibility without allocating; only a Vec node that matches pays
+// for its per-lane operand tuples, filled by a second visit.
+func appendLaneMatches(out []egraph.Match, g *egraph.EGraph, class egraph.ClassID, lanes []egraph.ClassID, f laneForm, vm vecMatch) []egraph.Match {
+	anyReal := false
+	for _, lane := range lanes {
+		n, real := f.visit(g, lane, nil)
+		if n == 0 {
+			return out
+		}
+		anyReal = anyReal || real
+	}
+	if !anyReal {
+		return out
+	}
+	alts := make([][][]operand, len(lanes))
+	for i, lane := range lanes {
+		f.visit(g, lane, func(a laneAlt) { alts[i] = append(alts[i], a.tuple()) })
+	}
+	for _, combo := range enumerate(alts) {
+		vm.lanes = combo
+		out = append(out, egraph.Match{Class: class, Data: vm})
+	}
+	return out
 }
 
 // enumerate takes per-lane alternative lists and yields up to maxCombos
@@ -293,77 +339,19 @@ func (r macRule) Search(g *egraph.EGraph) []egraph.Match {
 }
 
 // SearchClasses restricts the search to the given classes (read-only), so
-// the runner can shard MAC matching across workers.
+// the runner can shard MAC matching across workers. A Vec node needs at
+// least one lane matching a genuine (+ _ (* _ _)) sum — without one the
+// plain VecMul rule is the right tool and MAC would only add noise.
 func (r macRule) SearchClasses(g *egraph.EGraph, classes []*egraph.EClass) []egraph.Match {
 	var out []egraph.Match
 	for _, cls := range classes {
 		for _, vecNode := range cls.Nodes {
-			if vecNode.Op != expr.OpVec || !r.ws[len(vecNode.Args)] {
-				continue
-			}
-			alts, anySum := macLanes(g, vecNode.Args)
-			if alts == nil || !anySum {
-				continue
-			}
-			for _, combo := range enumerate(alts) {
-				out = append(out, egraph.Match{
-					Class: cls.ID,
-					Data:  vecMatch{op: expr.OpVecMAC, lanes: combo},
-				})
+			if vecNode.Op == expr.OpVec && r.ws[len(vecNode.Args)] {
+				out = appendLaneMatches(out, g, cls.ID, vecNode.Args, macForm, vecMatch{op: expr.OpVecMAC})
 			}
 		}
 	}
 	return out
-}
-
-// macLanes computes per-lane (acc, b, c) triples. anySum reports whether at
-// least one lane matched a genuine (+ _ (* _ _)) form — if none did, the
-// plain VecMul rule is the right tool and MAC would only add noise.
-func macLanes(g *egraph.EGraph, lanes []egraph.ClassID) (alts [][][]operand, anySum bool) {
-	zero := litOperand(0)
-	alts = make([][][]operand, 0, len(lanes))
-	for _, lane := range lanes {
-		var laneAlts [][]operand
-		cls := g.Class(lane)
-		if cls == nil {
-			return nil, false
-		}
-		addAlt := func(a []operand) bool {
-			laneAlts = append(laneAlts, a)
-			return len(laneAlts) >= maxLaneAlts
-		}
-	scan:
-		for _, n := range cls.Nodes {
-			switch n.Op {
-			case expr.OpAdd:
-				// (+ acc (* b c)) and (+ (* b c) acc).
-				for side := 0; side < 2; side++ {
-					prod, acc := n.Args[1-side], n.Args[side]
-					for _, pn := range g.Class(prod).Nodes {
-						if pn.Op == expr.OpMul {
-							anySum = true
-							if addAlt([]operand{{class: acc}, {class: pn.Args[0]}, {class: pn.Args[1]}}) {
-								break scan
-							}
-						}
-					}
-				}
-			case expr.OpMul:
-				// Bare product: acc = 0.
-				if addAlt([]operand{zero, {class: n.Args[0]}, {class: n.Args[1]}}) {
-					break scan
-				}
-			}
-		}
-		if len(laneAlts) == 0 && classHasLit(g, lane, 0) {
-			laneAlts = append(laneAlts, []operand{zero, zero, zero})
-		}
-		if len(laneAlts) == 0 {
-			return nil, false
-		}
-		alts = append(alts, laneAlts)
-	}
-	return alts, anySum
 }
 
 func (macRule) Apply(g *egraph.EGraph, m egraph.Match) bool {
